@@ -19,28 +19,32 @@
 //! passes (including the latest-departure closing-time bound for temporal
 //! cycles).
 //!
-//! Three drivers are provided per cycle kind, mirroring the one-shot
-//! granularities:
+//! # One plan, one entry point
 //!
-//! * **sequential** ([`delta_simple`] / [`delta_temporal`]) — one thread
-//!   sweeps the batch's roots;
-//! * **coarse-grained** ([`delta_simple_parallel`] /
-//!   [`delta_temporal_parallel`]) — one dynamically scheduled task per root
-//!   (§4): work efficient, but a batch whose cycles all hang off one hot root
-//!   collapses to a single worker;
-//! * **fine-grained** ([`delta_simple_fine`] / [`delta_temporal_fine`]) —
-//!   every recursion level of a rooted search is a copyable task on the
-//!   pool's work-stealing deques (§5/§7 applied to the backward search), so
-//!   even a single-root burst engages all workers. The per-root pruning state
-//!   is snapshot into a shared `UnionView` once and read-only thereafter.
+//! [`run`] executes a [`DeltaPlan`] — the cycle kind with its constraints
+//! plus the pushed-down predicate — over a root range under one
+//! [`Schedule`]. Every schedule runs the same per-root preamble (root
+//! admission, self-loop handling, δ-window, union pass) and the same
+//! search, so reported cycles and deterministic work counters are identical
+//! across schedules; only how the work is split differs, mirroring the
+//! one-shot granularities:
 //!
-//! A fourth driver pair ([`delta_simple_assist`] / [`delta_temporal_assist`])
-//! runs the *same* fine-grained decomposition under work-**assisting**
-//! scheduling: instead of boxing each branch as a stealable task, idle
-//! workers join per-level [`WorkAssistingLoop`]s in place (one packed atomic
-//! per level — see `run_delta_fine_assist`). Reports and deterministic work
-//! counters are identical to the stealing driver's, which makes the two
-//! mutual differential oracles.
+//! * [`Schedule::Sequential`] — one thread sweeps the batch's roots;
+//! * [`Schedule::Sharded`] — one task per shard, each sweeping the roots
+//!   whose source vertex it owns (sequential searches, parallel across
+//!   shards);
+//! * [`Schedule::PerRoot`] — one dynamically scheduled task per root (§4,
+//!   coarse-grained): work efficient, but a batch whose cycles all hang off
+//!   one hot root collapses to a single worker;
+//! * [`Schedule::Fine`] — every recursion level of a rooted search is a
+//!   copyable task (§5/§7 applied to the backward search), so even a
+//!   single-root burst engages all workers. The per-root pruning state is
+//!   snapshot into a shared `UnionView` once and read-only thereafter. Under
+//!   [`SchedStrategy::Stealing`] the tasks go onto the pool's work-stealing
+//!   deques; under [`SchedStrategy::Assisting`] idle workers join per-level
+//!   [`WorkAssistingLoop`]s in place (one packed atomic per level). Both
+//!   expand tasks through the same body, which makes them mutual
+//!   differential oracles.
 //!
 //! Everything here is generic over [`GraphView`], so the same code serves the
 //! immutable [`TemporalGraph`](pce_graph::TemporalGraph) and the streaming
@@ -66,8 +70,8 @@
 //!
 //! # Predicate pushdown
 //!
-//! Every driver takes a [`CyclePredicate`] whose components are evaluated as
-//! early as soundness allows:
+//! The plan's [`CyclePredicate`] components are evaluated as early as
+//! soundness allows:
 //!
 //! * the **per-edge** part (amount interval + label filter) is evaluated
 //!   *during* traversal: a rejected edge is skipped by the union passes and
@@ -98,26 +102,15 @@
 //! hull* of its subscriptions' predicates into this shared pass (see
 //! [`crate::streaming`]) and re-checks exact per-subscription predicates at
 //! fan-out. Pass [`CyclePredicate::pass_all`] for unfiltered enumeration —
-//! that case is detected once per root and adds no per-edge work.
-//!
-//! # The `floor` parameter
-//!
-//! Every entry point takes a `floor` timestamp: roots below it are skipped
-//! and edges below it are never admissible. Pass `Timestamp::MIN` for no
-//! floor — what the streaming engine does, since its `delta <= retention`
-//! invariant already guarantees every edge a closing root can need is still
-//! stored (making reports independent of batch boundaries). A caller with
-//! weaker guarantees (say, retention shorter than its query window) can pass
-//! an explicit floor to keep results deterministic with respect to what has
-//! been physically dropped.
+//! that case is detected once per run and adds no per-edge work.
 
 use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, ShardStats, WorkMetrics};
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
-use crate::seq::{timed_run, RootScratch};
+use crate::seq::RootScratch;
 use crate::union::{UnionQuery, UnionView};
 use crate::util::{fx_set, FxHashSet};
-use crate::{Algorithm, Granularity};
+use crate::{Algorithm, Granularity, SchedStrategy};
 use parking_lot::Mutex;
 use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{
@@ -130,10 +123,159 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Predicate-derived pushdown flags, computed once per run (or per root) and
-/// copied into the search state — the sequential [`DeltaSearch`] and the
-/// fine-grained [`FineDeltaShared`] cache the same set, so both granularities
-/// take identical per-edge fast paths.
+/// The cycle definition a delta run enumerates, with its constraints.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeltaKind {
+    /// Simple cycles (no repeated vertex) fitting the options' window.
+    Simple(SimpleCycleOptions),
+    /// Temporal cycles (strictly increasing timestamps) fitting the options'
+    /// window. Self-loops never qualify.
+    Temporal(TemporalCycleOptions),
+}
+
+/// What one delta [`run`] enumerates: the cycle kind and the predicate
+/// pushed into its traversal (see the [module docs](self)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeltaPlan {
+    /// Cycle definition and window/length constraints.
+    pub kind: DeltaKind,
+    /// Whole-cycle predicate every reported cycle satisfies —
+    /// [`CyclePredicate::pass_all`] for unfiltered enumeration.
+    pub predicate: CyclePredicate,
+}
+
+impl DeltaPlan {
+    /// The window size δ (`Timestamp::MAX` for an unwindowed simple plan).
+    fn delta(&self) -> Timestamp {
+        match &self.kind {
+            DeltaKind::Simple(o) => o.effective_delta(),
+            DeltaKind::Temporal(o) => o.window_delta,
+        }
+    }
+
+    fn max_len(&self) -> Option<usize> {
+        match &self.kind {
+            DeltaKind::Simple(o) => o.max_len,
+            DeltaKind::Temporal(o) => o.max_len,
+        }
+    }
+
+    #[inline]
+    fn len_ok(&self, len: usize) -> bool {
+        match &self.kind {
+            DeltaKind::Simple(o) => o.len_ok(len),
+            DeltaKind::Temporal(o) => o.len_ok(len),
+        }
+    }
+}
+
+/// How a delta [`run`] spreads the roots across workers (see the
+/// [module docs](self)). Reports and deterministic work counters are the
+/// same under every schedule.
+#[derive(Clone, Copy)]
+pub enum Schedule<'a> {
+    /// One thread sweeps the roots in ascending id order; no pool is touched.
+    Sequential,
+    /// One task per shard of the spec, each sweeping the roots whose source
+    /// vertex it owns. Per-shard attribution lands in [`RunStats::shards`].
+    Sharded(&'a ThreadPool, ShardSpec),
+    /// One dynamically scheduled task per root (coarse-grained).
+    PerRoot(&'a ThreadPool),
+    /// Every recursion level of a rooted search is a task (fine-grained),
+    /// scheduled by the given strategy.
+    Fine(&'a ThreadPool, SchedStrategy),
+}
+
+impl Schedule<'_> {
+    /// Workers the schedule runs on — one caller scratch each.
+    fn threads(&self) -> usize {
+        match self {
+            Schedule::Sequential => 1,
+            Schedule::Sharded(pool, _) | Schedule::PerRoot(pool) | Schedule::Fine(pool, _) => {
+                pool.num_threads()
+            }
+        }
+    }
+}
+
+/// Enumerates the cycles of `plan` whose maximum edge lies in `roots`
+/// (typically the id range of the newest ingest batch) under `schedule`.
+///
+/// `scratches` is caller-owned and reused across runs: it is grown to one
+/// scratch per worker and each is sized to `graph.num_vertices()`, so a
+/// long-lived caller pays no per-run allocation (the scratch's
+/// epoch-stamping makes reuse free).
+pub fn run<G: GraphView + ?Sized, S: CycleSink>(
+    plan: &DeltaPlan,
+    schedule: Schedule<'_>,
+    graph: &G,
+    roots: Range<EdgeId>,
+    sink: &S,
+    scratches: &mut Vec<RootScratch>,
+) -> RunStats {
+    let threads = schedule.threads();
+    if scratches.len() < threads {
+        scratches.resize_with(threads, || RootScratch::new(0));
+    }
+    let scratches = &mut scratches[..threads];
+    for scratch in scratches.iter_mut() {
+        scratch.ensure_vertices(graph.num_vertices());
+    }
+    let metrics = WorkMetrics::new(threads);
+    let halting = HaltingSink::new(sink);
+    let shared = Shared {
+        graph,
+        plan,
+        push: Pushdown::of(&plan.predicate),
+        sink: &halting,
+        metrics: &metrics,
+    };
+    let start = Instant::now();
+    let (granularity, shards) = match schedule {
+        Schedule::Sequential => {
+            let scratch = &mut scratches[0];
+            for root in roots {
+                if halting.stopped() {
+                    break;
+                }
+                shared.search_root(root, scratch, 0);
+            }
+            (Granularity::Sequential, Vec::new())
+        }
+        // Sharding parallelises *across* shards, not inside a root: each
+        // root still runs the sequential search, hence the tag.
+        Schedule::Sharded(pool, spec) => (
+            Granularity::Sequential,
+            run_sharded(&shared, roots, spec, sink, pool, scratches),
+        ),
+        Schedule::PerRoot(pool) => {
+            run_per_root(&shared, roots, pool, scratches);
+            (Granularity::CoarseGrained, Vec::new())
+        }
+        Schedule::Fine(pool, SchedStrategy::Stealing) => {
+            run_fine(&shared, roots, pool, scratches);
+            (Granularity::FineGrained, Vec::new())
+        }
+        Schedule::Fine(pool, SchedStrategy::Assisting) => {
+            run_fine_assist(&shared, roots, pool, scratches);
+            (Granularity::FineGrained, Vec::new())
+        }
+    };
+    RunStats {
+        cycles: sink.count(),
+        wall_secs: start.elapsed().as_secs_f64(),
+        work: metrics.snapshot(),
+        threads,
+        shards,
+        ..RunStats::default()
+    }
+    .tagged(Algorithm::Johnson, granularity)
+}
+
+/// Predicate-derived pushdown flags, computed once per run and copied into
+/// the search state — the sequential [`DeltaSearch`] and the fine-grained
+/// tasks cache the same set, so every schedule takes identical per-edge fast
+/// paths.
 #[derive(Clone, Copy)]
 struct Pushdown {
     /// `predicate.edge_predicate().is_pass_all()` — skips the attribute
@@ -174,13 +316,12 @@ impl Pushdown {
     }
 }
 
-/// Root-edge admission shared by every per-root driver: the pushed-down
-/// predicate parts decidable from the root edge alone. The root is part of
-/// every cycle it closes, so it must satisfy the per-edge predicate, the
-/// vertex filter on both endpoints, any constraint pinned at `FromEnd(0)`
-/// (the root *is* the last reported edge), and leave room under the
-/// total-amount ceiling. Records the matching prune counter and returns
-/// `false` when the root can close nothing.
+/// Root-edge admission: the pushed-down predicate parts decidable from the
+/// root edge alone. The root is part of every cycle it closes, so it must
+/// satisfy the per-edge predicate, the vertex filter on both endpoints, any
+/// constraint pinned at `FromEnd(0)` (the root *is* the last reported edge),
+/// and leave room under the total-amount ceiling. Records the matching prune
+/// counter and returns `false` when the root can close nothing.
 fn admit_root(
     e: &TemporalEdge,
     predicate: &CyclePredicate,
@@ -279,6 +420,128 @@ fn cycle_accepted<G: GraphView + ?Sized>(
     edge_buf.clear();
     edge_buf.extend(path_edges.iter().map(|&id| graph.edge(id)));
     predicate.accepts_cycle_edges(edge_buf)
+}
+
+/// The path state every rooted search starts from: the root's head, with
+/// both root endpoints already on the path.
+fn seed_path(e: &TemporalEdge) -> (Vec<VertexId>, FxHashSet<VertexId>) {
+    let mut on_path = fx_set();
+    on_path.insert(e.src);
+    on_path.insert(e.dst);
+    (vec![e.dst], on_path)
+}
+
+/// Immutable state shared by every worker and task of one [`run`].
+struct Shared<'a, G: ?Sized, S> {
+    graph: &'a G,
+    plan: &'a DeltaPlan,
+    /// Cached pushdown flags of `plan.predicate` (see [`Pushdown`]).
+    push: Pushdown,
+    sink: &'a HaltingSink<'a, S>,
+    metrics: &'a WorkMetrics,
+}
+
+impl<'a, G: GraphView + ?Sized, S: CycleSink> Shared<'a, G, S> {
+    /// The same run state reporting into `sink` instead.
+    fn with_sink<'b, T>(&self, sink: &'b HaltingSink<'b, T>) -> Shared<'b, G, T>
+    where
+        'a: 'b,
+    {
+        Shared {
+            graph: self.graph,
+            plan: self.plan,
+            push: self.push,
+            sink,
+            metrics: self.metrics,
+        }
+    }
+
+    /// The per-root preamble every schedule shares: root admission,
+    /// self-loop handling, the δ-window and the mirrored union pass into
+    /// `scratch`. Returns the root edge and its window, or `None` when the
+    /// root closes nothing beyond a reported self-loop.
+    fn prepare_root(
+        &self,
+        root: EdgeId,
+        scratch: &mut RootScratch,
+        worker: usize,
+    ) -> Option<(TemporalEdge, TimeWindow)> {
+        let e = self.graph.edge(root);
+        let predicate = &self.plan.predicate;
+        if e.src == e.dst {
+            // Strictly increasing timestamps leave no temporal self-loop.
+            if let DeltaKind::Simple(opts) = &self.plan.kind {
+                if admit_root(&e, predicate, self.metrics, worker)
+                    && opts.include_self_loops
+                    && opts.len_ok(1)
+                    && (!self.push.cycle_check
+                        || predicate.accepts_cycle_edges(std::slice::from_ref(&e)))
+                {
+                    self.sink.push(&[e.src], &[root]);
+                }
+            }
+            return None;
+        }
+        if !admit_root(&e, predicate, self.metrics, worker) {
+            return None;
+        }
+        self.metrics.root_processed(worker);
+        // A cycle whose maximum edge has timestamp t0 fits in a δ-window iff
+        // all of its edges have ts >= t0 - δ (for temporal cycles, the first
+        // edge anchors the window).
+        let window = TimeWindow::new(e.ts.saturating_sub(self.plan.delta()), e.ts);
+        let reachable = match self.plan.kind {
+            DeltaKind::Simple(_) => scratch
+                .union
+                .compute_simple_before(self.graph, root, window, predicate),
+            DeltaKind::Temporal(_) => scratch
+                .union
+                .compute_temporal_before(self.graph, root, window, predicate),
+        };
+        self.metrics
+            .union_members(worker, scratch.union.union_size() as u64);
+        reachable.then_some((e, window))
+    }
+
+    /// Runs the sequential search rooted at `root` (the cycle's maximum
+    /// edge) — the unit of work of the sequential, sharded and per-root
+    /// schedules.
+    fn search_root(&self, root: EdgeId, scratch: &mut RootScratch, worker: usize) {
+        let Some((e, window)) = self.prepare_root(root, scratch, worker) else {
+            return;
+        };
+        let (path, on_path) = seed_path(&e);
+        let mut search = DeltaSearch {
+            graph: self.graph,
+            sink: self.sink,
+            metrics: self.metrics,
+            worker,
+            union: &scratch.union,
+            root,
+            target: e.src,
+            max_len: self.plan.max_len(),
+            predicate: &self.plan.predicate,
+            push: self.push,
+            root_amount: e.amount,
+            sum: e.amount,
+            last_amount: 0,
+            path,
+            path_edges: Vec::new(),
+            on_path,
+            edge_buf: Vec::new(),
+        };
+        match self.plan.kind {
+            DeltaKind::Simple(_) => search.extend_simple(e.dst, window),
+            // Seeding the arrival one below the window start admits exactly
+            // first hops with ts >= start; path timestamps stay strictly
+            // below t0.
+            DeltaKind::Temporal(_) => search.extend_temporal(
+                e.dst,
+                window.start.saturating_sub(1),
+                e.ts.saturating_sub(1),
+            ),
+        }
+    }
 }
 
 /// Shared state of one max-rooted backwards search.
@@ -456,392 +719,34 @@ impl<G: GraphView + ?Sized, S: CycleSink> DeltaSearch<'_, G, S> {
     }
 }
 
-/// Runs the simple-cycle delta search rooted at `root` (the cycle's maximum
-/// edge). See the [module docs](self) for `floor`.
-#[allow(clippy::too_many_arguments)] // the per-root driver signature + floor
-pub(crate) fn delta_simple_root<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    root: EdgeId,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    scratch: &mut RootScratch,
-    sink: &HaltingSink<'_, S>,
-    metrics: &WorkMetrics,
-    worker: usize,
-) {
-    let e = graph.edge(root);
-    if e.ts < floor {
-        // A batch that straddles the retention span can contain edges that
-        // expired the moment they arrived; they close nothing.
-        return;
-    }
-    let push = Pushdown::of(predicate);
-    if !admit_root(&e, predicate, metrics, worker) {
-        return;
-    }
-    if e.src == e.dst {
-        if opts.include_self_loops
-            && opts.len_ok(1)
-            && (!push.cycle_check || predicate.accepts_cycle_edges(std::slice::from_ref(&e)))
-        {
-            sink.push(&[e.src], &[root]);
-        }
-        return;
-    }
-    metrics.root_processed(worker);
-    // A cycle whose maximum edge has timestamp t0 fits in a δ-window iff all
-    // of its edges have ts >= t0 - δ; clamp at the stream floor.
-    let start = e.ts.saturating_sub(opts.effective_delta()).max(floor);
-    let window = TimeWindow::new(start, e.ts);
-    let reachable = scratch
-        .union
-        .compute_simple_before(graph, root, window, predicate);
-    metrics.union_members(worker, scratch.union.union_size() as u64);
-    if !reachable {
-        return;
-    }
-    let mut on_path = fx_set();
-    on_path.insert(e.src);
-    on_path.insert(e.dst);
-    let mut search = DeltaSearch {
-        graph,
-        sink,
-        metrics,
-        worker,
-        union: &scratch.union,
-        root,
-        target: e.src,
-        max_len: opts.max_len,
-        predicate,
-        push,
-        root_amount: e.amount,
-        sum: e.amount,
-        last_amount: 0,
-        path: vec![e.dst],
-        path_edges: Vec::new(),
-        on_path,
-        edge_buf: Vec::new(),
-    };
-    search.extend_simple(e.dst, window);
-}
-
-/// Runs the temporal-cycle delta search rooted at `root` (the cycle's last —
-/// and strictly largest — edge). See the [module docs](self) for `floor`.
-#[allow(clippy::too_many_arguments)] // the per-root driver signature + floor
-pub(crate) fn delta_temporal_root<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    root: EdgeId,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    scratch: &mut RootScratch,
-    sink: &HaltingSink<'_, S>,
-    metrics: &WorkMetrics,
-    worker: usize,
-) {
-    let e = graph.edge(root);
-    if e.ts < floor || e.src == e.dst {
-        return;
-    }
-    if !admit_root(&e, predicate, metrics, worker) {
-        return;
-    }
-    metrics.root_processed(worker);
-    // The cycle's first edge anchors its window: first_ts >= t0 - δ.
-    let start = e.ts.saturating_sub(opts.window_delta).max(floor);
-    let window = TimeWindow::new(start, e.ts);
-    let reachable = scratch
-        .union
-        .compute_temporal_before(graph, root, window, predicate);
-    metrics.union_members(worker, scratch.union.union_size() as u64);
-    if !reachable {
-        return;
-    }
-    let mut on_path = fx_set();
-    on_path.insert(e.src);
-    on_path.insert(e.dst);
-    let mut search = DeltaSearch {
-        graph,
-        sink,
-        metrics,
-        worker,
-        union: &scratch.union,
-        root,
-        target: e.src,
-        max_len: opts.max_len,
-        predicate,
-        push: Pushdown::of(predicate),
-        root_amount: e.amount,
-        sum: e.amount,
-        last_amount: 0,
-        path: vec![e.dst],
-        path_edges: Vec::new(),
-        on_path,
-        edge_buf: Vec::new(),
-    };
-    // Seeding the arrival one below the window start admits exactly first
-    // hops with ts >= start; path timestamps stay strictly below t0.
-    search.extend_temporal(e.dst, start.saturating_sub(1), e.ts.saturating_sub(1));
-}
-
-/// Sequential simple-cycle delta enumeration over the root range `roots`
-/// (typically the id range of the newest ingest batch). Allocates fresh
-/// scratch; high-frequency callers should use
-/// [`delta_simple_with_scratch`] to reuse one scratch across runs.
-///
-/// `predicate` is pushed into the traversal (union passes, path extension
-/// and aggregate partial bounds alike; see the [module docs](self)), so
-/// pruned branches never enter the search state — pass
-/// [`CyclePredicate::pass_all`] for unfiltered enumeration. Every driver
-/// below takes the same parameter with the same meaning.
-pub fn delta_simple<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
+/// The per-root schedule: workers claim roots from the batch range via a
+/// dynamic counter, exactly like the coarse-grained one-shot driver (one task
+/// per root edge, §4 of the paper), each searching into its own scratch.
+fn run_per_root<G: GraphView + ?Sized, S: CycleSink>(
+    shared: &Shared<'_, G, S>,
     roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-) -> RunStats {
-    let mut scratch = RootScratch::new(graph.num_vertices());
-    delta_simple_with_scratch(graph, roots, floor, opts, predicate, sink, &mut scratch)
-}
-
-/// [`delta_simple`] with caller-owned scratch: the streaming engine's
-/// per-batch hot path, paying no per-run allocation (the scratch's
-/// epoch-stamping makes reuse free). The scratch must cover
-/// `graph.num_vertices()` (see [`RootScratch::ensure_vertices`]).
-pub fn delta_simple_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    scratch: &mut RootScratch,
-) -> RunStats {
-    let metrics = WorkMetrics::new(1);
-    let sink = HaltingSink::new(sink);
-    timed_run(&sink, &metrics, 1, || {
-        for root in roots {
-            if sink.stopped() {
-                break;
-            }
-            delta_simple_root(
-                graph, root, floor, opts, predicate, scratch, &sink, &metrics, 0,
-            );
-        }
-    })
-    .tagged(Algorithm::Johnson, Granularity::Sequential)
-}
-
-/// Sequential temporal-cycle delta enumeration over the root range `roots`.
-/// Allocates fresh scratch; high-frequency callers should use
-/// [`delta_temporal_with_scratch`] to reuse one scratch across runs.
-pub fn delta_temporal<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-) -> RunStats {
-    let mut scratch = RootScratch::new(graph.num_vertices());
-    delta_temporal_with_scratch(graph, roots, floor, opts, predicate, sink, &mut scratch)
-}
-
-/// [`delta_temporal`] with caller-owned scratch (see
-/// [`delta_simple_with_scratch`]).
-pub fn delta_temporal_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    scratch: &mut RootScratch,
-) -> RunStats {
-    let metrics = WorkMetrics::new(1);
-    let sink = HaltingSink::new(sink);
-    timed_run(&sink, &metrics, 1, || {
-        for root in roots {
-            if sink.stopped() {
-                break;
-            }
-            delta_temporal_root(
-                graph, root, floor, opts, predicate, scratch, &sink, &metrics, 0,
-            );
-        }
-    })
-    .tagged(Algorithm::Johnson, Granularity::Sequential)
-}
-
-/// The shared parallel delta driver: workers claim roots from the batch
-/// range via a dynamic counter, exactly like the coarse-grained one-shot
-/// driver (one task per root edge, §4 of the paper). One caller-owned
-/// scratch per spawned worker; each scratch must cover
-/// `graph.num_vertices()`.
-fn run_delta_parallel<S, F>(
-    roots: Range<EdgeId>,
-    sink: &S,
     pool: &ThreadPool,
     scratches: &mut [RootScratch],
-    per_root: F,
-) -> RunStats
-where
-    S: CycleSink,
-    F: Fn(EdgeId, &mut RootScratch, &HaltingSink<'_, S>, &WorkMetrics, usize) + Sync,
-{
-    let threads = pool.num_threads();
-    assert!(
-        scratches.len() >= threads,
-        "need one scratch per pool worker"
-    );
-    let metrics = WorkMetrics::new(threads);
-    let start = Instant::now();
+) {
     let base = roots.start;
     let counter = DynamicCounter::new(roots.len(), 1);
-    let sink = HaltingSink::new(sink);
 
     pool.scope(|scope| {
-        for scratch in scratches[..threads].iter_mut() {
+        for scratch in scratches.iter_mut() {
             let counter = &counter;
-            let metrics = &metrics;
-            let sink = &sink;
-            let per_root = &per_root;
             scope.spawn(move |_, ctx| {
                 let worker = ctx.worker_id();
                 while let Some(i) = counter.next() {
-                    if sink.stopped() {
+                    if shared.sink.stopped() {
                         break;
                     }
                     let t0 = Instant::now();
-                    per_root(base + i as EdgeId, scratch, sink, metrics, worker);
-                    metrics.add_busy(worker, t0.elapsed());
+                    shared.search_root(base + i as EdgeId, scratch, worker);
+                    shared.metrics.add_busy(worker, t0.elapsed());
                 }
             });
         }
     });
-
-    RunStats {
-        cycles: sink.count(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        work: metrics.snapshot(),
-        threads,
-        ..RunStats::default()
-    }
-    .tagged(Algorithm::Johnson, Granularity::CoarseGrained)
-}
-
-/// Allocates one fresh scratch per pool worker (the convenience path; the
-/// streaming engine reuses persistent scratches instead).
-fn fresh_scratches<G: GraphView + ?Sized>(graph: &G, pool: &ThreadPool) -> Vec<RootScratch> {
-    (0..pool.num_threads())
-        .map(|_| RootScratch::new(graph.num_vertices()))
-        .collect()
-}
-
-/// Parallel simple-cycle delta enumeration: one dynamically scheduled task
-/// per root in `roots`. Allocates fresh per-worker scratch; high-frequency
-/// callers should use [`delta_simple_parallel_with_scratch`].
-pub fn delta_simple_parallel<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_simple_parallel_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_simple_parallel`] with caller-owned per-worker scratches (at
-/// least `pool.num_threads()` of them, each covering
-/// `graph.num_vertices()`): no allocation on the per-batch hot path.
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_simple_parallel_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_parallel(
-        roots,
-        sink,
-        pool,
-        scratches,
-        |root, scratch, sink, metrics, worker| {
-            delta_simple_root(
-                graph, root, floor, opts, predicate, scratch, sink, metrics, worker,
-            )
-        },
-    )
-}
-
-/// Parallel temporal-cycle delta enumeration: one dynamically scheduled task
-/// per root in `roots`. Allocates fresh per-worker scratch; high-frequency
-/// callers should use [`delta_temporal_parallel_with_scratch`].
-pub fn delta_temporal_parallel<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_temporal_parallel_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_temporal_parallel`] with caller-owned per-worker scratches (see
-/// [`delta_simple_parallel_with_scratch`]).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_temporal_parallel_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_parallel(
-        roots,
-        sink,
-        pool,
-        scratches,
-        |root, scratch, sink, metrics, worker| {
-            delta_temporal_root(
-                graph, root, floor, opts, predicate, scratch, sink, metrics, worker,
-            )
-        },
-    )
 }
 
 /// A sink adaptor attributing accepted cycles to one shard: forwards every
@@ -866,53 +771,29 @@ impl<S: CycleSink> CycleSink for ShardCountingSink<'_, S> {
     }
 }
 
-/// The sharded delta driver: the root range is partitioned by *shard
-/// ownership of the root's source vertex* ([`ShardSpec::owner`]), workers
-/// claim whole shards from a dynamic counter, and every claimed shard sweeps
-/// the batch's roots sequentially in ascending id order, skipping roots it
-/// does not own. Ownership partitions the roots, so together the shards
-/// process every root exactly once — and because a cycle is reported only by
-/// the search rooted at its maximum `(ts, id)` edge, a cycle whose path
-/// crosses shard boundaries is still reported exactly once, by the shard
-/// owning that closing edge. Cross-shard paths need no messaging: the
-/// backward union/search passes read sibling shards' adjacency directly
-/// (immutable between appends), which is the shared-memory form of the
-/// boundary-frontier exchange.
+/// The sharded schedule: the root range is partitioned by *shard ownership
+/// of the root's source vertex* ([`ShardSpec::owner`]), workers claim whole
+/// shards from a dynamic counter, and every claimed shard sweeps the batch's
+/// roots sequentially in ascending id order, skipping roots it does not own.
+/// Ownership partitions the roots, so together the shards process every root
+/// exactly once — and because a cycle is reported only by the search rooted
+/// at its maximum `(ts, id)` edge, a cycle whose path crosses shard
+/// boundaries is still reported exactly once, by the shard owning that
+/// closing edge. Cross-shard paths need no messaging: the backward
+/// union/search passes read sibling shards' adjacency directly (immutable
+/// between appends), which is the shared-memory form of the boundary-frontier
+/// exchange.
 ///
-/// Per-shard cycle/root attribution is returned in [`RunStats::shards`].
-/// The granularity tag stays `Sequential`: each root still runs the
-/// sequential per-root search — sharding parallelises *across* shards, not
-/// inside a root (the coarse- and fine-grained drivers already decompose
-/// below shard level, so they ignore sharding).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + spec
-fn run_delta_sharded<G, S, F>(
-    graph: &G,
+/// Returns the per-shard cycle/root attribution.
+fn run_sharded<G: GraphView + ?Sized, S: CycleSink>(
+    shared: &Shared<'_, G, S>,
     roots: Range<EdgeId>,
     spec: ShardSpec,
     sink: &S,
     pool: &ThreadPool,
     scratches: &mut [RootScratch],
-    per_root: F,
-) -> RunStats
-where
-    G: GraphView + ?Sized,
-    S: CycleSink,
-    F: for<'h> Fn(
-            EdgeId,
-            &mut RootScratch,
-            &HaltingSink<'h, ShardCountingSink<'h, S>>,
-            &WorkMetrics,
-            usize,
-        ) + Sync,
-{
-    let threads = pool.num_threads();
-    assert!(
-        scratches.len() >= threads,
-        "need one scratch per pool worker"
-    );
+) -> Vec<ShardStats> {
     let nshards = spec.shards();
-    let metrics = WorkMetrics::new(threads);
-    let start = Instant::now();
     let counter = DynamicCounter::new(nshards, 1);
     let shard_cycles: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
     let shard_roots: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
@@ -922,10 +803,8 @@ where
     let stop = AtomicBool::new(false);
 
     pool.scope(|scope| {
-        for scratch in scratches[..threads.min(nshards)].iter_mut() {
+        for scratch in scratches.iter_mut().take(nshards) {
             let counter = &counter;
-            let metrics = &metrics;
-            let per_root = &per_root;
             let shard_cycles = &shard_cycles;
             let shard_roots = &shard_roots;
             let stop = &stop;
@@ -942,28 +821,29 @@ where
                         cycles: &shard_cycles[s],
                     };
                     let halting = HaltingSink::new(&shard_sink);
+                    let shard = shared.with_sink(&halting);
                     let mut owned = 0u64;
                     for root in roots.clone() {
                         if halting.stopped() || stop.load(Ordering::Relaxed) {
                             break;
                         }
-                        if spec.owner(graph.edge(root).src) != s {
+                        if spec.owner(shared.graph.edge(root).src) != s {
                             continue;
                         }
                         owned += 1;
-                        per_root(root, scratch, &halting, metrics, worker);
+                        shard.search_root(root, scratch, worker);
                     }
                     shard_roots[s].store(owned, Ordering::Relaxed);
                     if halting.stopped() {
                         stop.store(true, Ordering::Relaxed);
                     }
-                    metrics.add_busy(worker, t0.elapsed());
+                    shared.metrics.add_busy(worker, t0.elapsed());
                 }
             });
         }
     });
 
-    let shards = shard_roots
+    shard_roots
         .iter()
         .zip(shard_cycles.iter())
         .enumerate()
@@ -972,106 +852,7 @@ where
             roots: r.load(Ordering::Relaxed),
             cycles: c.load(Ordering::Relaxed),
         })
-        .collect();
-    RunStats {
-        cycles: sink.count(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        work: metrics.snapshot(),
-        threads,
-        shards,
-        ..RunStats::default()
-    }
-    .tagged(Algorithm::Johnson, Granularity::Sequential)
-}
-
-/// Sharded simple-cycle delta enumeration with caller-owned per-worker
-/// scratches: one parallel task per shard, roots partitioned by
-/// [`ShardSpec::owner`] of the root's source vertex. Results are identical
-/// to every other driver; see the [module docs](self).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + spec
-pub fn delta_simple_sharded_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    spec: ShardSpec,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_sharded(
-        graph,
-        roots,
-        spec,
-        sink,
-        pool,
-        scratches,
-        |root, scratch, sink, metrics, worker| {
-            delta_simple_root(
-                graph, root, floor, opts, predicate, scratch, sink, metrics, worker,
-            )
-        },
-    )
-}
-
-/// Sharded temporal-cycle delta enumeration (see
-/// [`delta_simple_sharded_with_scratch`]).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + spec
-pub fn delta_temporal_sharded_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    spec: ShardSpec,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_sharded(
-        graph,
-        roots,
-        spec,
-        sink,
-        pool,
-        scratches,
-        |root, scratch, sink, metrics, worker| {
-            delta_temporal_root(
-                graph, root, floor, opts, predicate, scratch, sink, metrics, worker,
-            )
-        },
-    )
-}
-
-/// The constraint set of one fine-grained delta run: which cycle definition
-/// the copyable tasks enforce while extending a path.
-#[derive(Clone, Copy)]
-enum FineDeltaMode<'a> {
-    Simple(&'a SimpleCycleOptions),
-    Temporal(&'a TemporalCycleOptions),
-}
-
-impl FineDeltaMode<'_> {
-    #[inline]
-    fn len_ok(&self, len: usize) -> bool {
-        match self {
-            FineDeltaMode::Simple(o) => o.len_ok(len),
-            FineDeltaMode::Temporal(o) => o.len_ok(len),
-        }
-    }
-}
-
-/// Immutable state shared by every task of one fine-grained delta run.
-struct FineDeltaShared<'a, G: ?Sized, S> {
-    graph: &'a G,
-    sink: &'a HaltingSink<'a, S>,
-    metrics: &'a WorkMetrics,
-    mode: FineDeltaMode<'a>,
-    /// Whole-cycle predicate pushed into every task of the run.
-    predicate: &'a CyclePredicate,
-    /// Cached pushdown flags (see [`Pushdown`]).
-    push: Pushdown,
+        .collect()
 }
 
 /// One copyable recursion level of a fine-grained delta search: extend the
@@ -1112,25 +893,26 @@ struct FineDeltaTask {
 /// fresh child task (stamped `spawned_by: worker`). The expansion — and its
 /// per-task metrics: one recursive call, one edge visit per scanned entry,
 /// one copy per emitted child — is shared verbatim by the two fine-grained
-/// schedulers, which differ only in where children go: the *stealing* driver
-/// spawns them onto the worker's deque, the *assisting* driver collects them
-/// into the next frontier level. That shared body is what makes the two
-/// strategies differentially comparable counter-for-counter.
+/// strategies, which differ only in where children go: *stealing* spawns
+/// them onto the worker's deque, *assisting* collects them into the next
+/// frontier level. That shared body is what makes the two strategies
+/// differentially comparable counter-for-counter.
 fn expand_fine_task<G: GraphView + ?Sized, S: CycleSink>(
-    shared: &FineDeltaShared<'_, G, S>,
+    shared: &Shared<'_, G, S>,
     task: &mut FineDeltaTask,
     worker: usize,
     mut emit: impl FnMut(FineDeltaTask),
 ) {
     shared.metrics.recursive_call(worker);
     let v = *task.path.last().expect("path never empty");
-    let (window, temporal) = match shared.mode {
-        FineDeltaMode::Simple(_) => (task.window, false),
-        FineDeltaMode::Temporal(_) => (
+    let (window, temporal) = match shared.plan.kind {
+        DeltaKind::Simple(_) => (task.window, false),
+        DeltaKind::Temporal(_) => (
             TimeWindow::new(task.arrival.saturating_add(1), task.t_last),
             true,
         ),
     };
+    let predicate = &shared.plan.predicate;
     let mut edge_buf = Vec::new();
     for &entry in shared.graph.out_edges_in_window(v, window) {
         if shared.sink.stopped() {
@@ -1144,7 +926,7 @@ fn expand_fine_task<G: GraphView + ?Sized, S: CycleSink>(
         }
         let Some((sum, amount)) = admit_edge(
             shared.graph,
-            shared.predicate,
+            predicate,
             shared.push,
             entry.edge,
             task.path_edges.len(),
@@ -1158,19 +940,14 @@ fn expand_fine_task<G: GraphView + ?Sized, S: CycleSink>(
         };
         let w = entry.neighbor;
         if w == task.target {
-            if shared.mode.len_ok(task.path_edges.len() + 2) {
+            if shared.plan.len_ok(task.path_edges.len() + 2) {
                 // Close on the owned buffers (push/pop, no allocation per
                 // cycle), mirroring the sequential DeltaSearch::close.
                 task.path.push(task.target);
                 task.path_edges.push(entry.edge);
                 task.path_edges.push(task.root);
                 if !shared.push.cycle_check
-                    || cycle_accepted(
-                        shared.graph,
-                        shared.predicate,
-                        &mut edge_buf,
-                        &task.path_edges,
-                    )
+                    || cycle_accepted(shared.graph, predicate, &mut edge_buf, &task.path_edges)
                 {
                     shared.sink.push(&task.path, &task.path_edges);
                 }
@@ -1180,14 +957,14 @@ fn expand_fine_task<G: GraphView + ?Sized, S: CycleSink>(
             }
             continue;
         }
-        if !shared.push.vf_any && !shared.predicate.vertex_filter().accepts(w) {
+        if !shared.push.vf_any && !predicate.vertex_filter().accepts(w) {
             shared.metrics.vertex_prune(worker);
             continue;
         }
         if task.on_path.contains(&w)
             || !task.union.in_union(w)
             || !task.union.can_close_after(w, entry.ts)
-            || !shared.mode.len_ok(task.path_edges.len() + 3)
+            || !shared.plan.len_ok(task.path_edges.len() + 3)
         {
             continue;
         }
@@ -1222,7 +999,7 @@ fn expand_fine_task<G: GraphView + ?Sized, S: CycleSink>(
 /// sequential depth-first order while idle workers steal the shallowest —
 /// largest — subtrees.
 fn execute_fine_delta<'scope, G: GraphView + ?Sized, S: CycleSink>(
-    shared: &'scope FineDeltaShared<'scope, G, S>,
+    shared: &'scope Shared<'scope, G, S>,
     mut task: FineDeltaTask,
     scope: &Scope<'scope>,
     ctx: &WorkerCtx<'_>,
@@ -1247,142 +1024,57 @@ fn execute_fine_delta<'scope, G: GraphView + ?Sized, S: CycleSink>(
     shared.metrics.add_busy(worker, start.elapsed());
 }
 
-/// Per-root preamble of the fine-grained drivers: floor / self-loop handling,
-/// the mirrored union pass into the worker's scratch, and the snapshot the
-/// root's tasks will share. Returns `None` when the root closes nothing.
+/// The shared per-root preamble plus the snapshot the root's fine-grained
+/// tasks will share. Returns `None` when the root closes nothing.
 fn prepare_fine_root<G: GraphView + ?Sized, S: CycleSink>(
-    shared: &FineDeltaShared<'_, G, S>,
+    shared: &Shared<'_, G, S>,
     root: EdgeId,
-    floor: Timestamp,
     scratch: &mut RootScratch,
     worker: usize,
 ) -> Option<FineDeltaTask> {
-    let e = shared.graph.edge(root);
-    if e.ts < floor {
-        return None;
-    }
-    // The root edge is part of every cycle it closes.
-    if !admit_root(&e, shared.predicate, shared.metrics, worker) {
-        return None;
-    }
-    let (window, t_last, arrival, union) = match shared.mode {
-        FineDeltaMode::Simple(opts) => {
-            if e.src == e.dst {
-                if opts.include_self_loops
-                    && opts.len_ok(1)
-                    && (!shared.push.cycle_check
-                        || shared
-                            .predicate
-                            .accepts_cycle_edges(std::slice::from_ref(&e)))
-                {
-                    shared.sink.push(&[e.src], &[root]);
-                }
-                return None;
-            }
-            shared.metrics.root_processed(worker);
-            let start = e.ts.saturating_sub(opts.effective_delta()).max(floor);
-            let window = TimeWindow::new(start, e.ts);
-            let reachable =
-                scratch
-                    .union
-                    .compute_simple_before(shared.graph, root, window, shared.predicate);
-            shared
-                .metrics
-                .union_members(worker, scratch.union.union_size() as u64);
-            if !reachable {
-                return None;
-            }
-            let union = Arc::new(UnionView::from_simple(&scratch.union));
-            (window, Timestamp::MIN, Timestamp::MIN, union)
-        }
-        FineDeltaMode::Temporal(opts) => {
-            if e.src == e.dst {
-                return None;
-            }
-            shared.metrics.root_processed(worker);
-            let start = e.ts.saturating_sub(opts.window_delta).max(floor);
-            let window = TimeWindow::new(start, e.ts);
-            let reachable =
-                scratch
-                    .union
-                    .compute_temporal_before(shared.graph, root, window, shared.predicate);
-            shared
-                .metrics
-                .union_members(worker, scratch.union.union_size() as u64);
-            if !reachable {
-                return None;
-            }
-            let union = Arc::new(UnionView::from_temporal(&scratch.union));
-            // Seeding the arrival one below the window start admits exactly
-            // first hops with ts >= start (same as the sequential driver).
-            (
-                window,
-                e.ts.saturating_sub(1),
-                window.start.saturating_sub(1),
-                union,
-            )
-        }
-    };
-    let mut on_path = fx_set();
-    on_path.insert(e.src);
-    on_path.insert(e.dst);
+    let (e, window) = shared.prepare_root(root, scratch, worker)?;
+    let union = Arc::new(match shared.plan.kind {
+        DeltaKind::Simple(_) => UnionView::from_simple(&scratch.union),
+        DeltaKind::Temporal(_) => UnionView::from_temporal(&scratch.union),
+    });
+    let (path, on_path) = seed_path(&e);
     Some(FineDeltaTask {
         root,
         target: e.src,
         window,
-        t_last,
-        arrival,
+        // Temporal seeding, as in the sequential search (simple tasks
+        // ignore both bounds).
+        t_last: e.ts.saturating_sub(1),
+        arrival: window.start.saturating_sub(1),
         root_amount: e.amount,
         sum: e.amount,
         last_amount: 0,
         union,
-        path: vec![e.dst],
+        path,
         path_edges: Vec::new(),
         on_path,
         spawned_by: worker,
     })
 }
 
-/// The shared fine-grained delta driver: workers claim roots from the batch
-/// range via a dynamic counter (like the coarse driver), but every recursion
-/// level of a claimed root's search is spawned as a copyable task on the
-/// pool's work-stealing deques — a batch whose cycles all hang off one hot
-/// root still engages every worker (§5/§7 of the paper, applied to the
+/// The fine-grained stealing schedule: workers claim roots from the batch
+/// range via a dynamic counter (like the per-root schedule), but every
+/// recursion level of a claimed root's search is spawned as a copyable task
+/// on the pool's work-stealing deques — a batch whose cycles all hang off one
+/// hot root still engages every worker (§5/§7 of the paper, applied to the
 /// max-edge-rooted backward search).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + predicate
-fn run_delta_fine<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
+fn run_fine<G: GraphView + ?Sized, S: CycleSink>(
+    shared: &Shared<'_, G, S>,
     roots: Range<EdgeId>,
-    floor: Timestamp,
-    mode: FineDeltaMode<'_>,
-    predicate: &CyclePredicate,
-    sink: &S,
     pool: &ThreadPool,
     scratches: &mut [RootScratch],
-) -> RunStats {
-    let threads = pool.num_threads();
-    assert!(
-        scratches.len() >= threads,
-        "need one scratch per pool worker"
-    );
-    let metrics = WorkMetrics::new(threads);
-    let start = Instant::now();
+) {
     let base = roots.start;
     let counter = DynamicCounter::new(roots.len(), 1);
-    let sink = HaltingSink::new(sink);
-    let shared = FineDeltaShared {
-        graph,
-        sink: &sink,
-        metrics: &metrics,
-        mode,
-        predicate,
-        push: Pushdown::of(predicate),
-    };
 
     pool.scope(|scope| {
-        for scratch in scratches[..threads].iter_mut() {
+        for scratch in scratches.iter_mut() {
             let counter = &counter;
-            let shared = &shared;
             scope.spawn(move |scope, ctx| {
                 let worker = ctx.worker_id();
                 while let Some(i) = counter.next() {
@@ -1390,8 +1082,7 @@ fn run_delta_fine<G: GraphView + ?Sized, S: CycleSink>(
                         break;
                     }
                     let prep = Instant::now();
-                    let task =
-                        prepare_fine_root(shared, base + i as EdgeId, floor, scratch, worker);
+                    let task = prepare_fine_root(shared, base + i as EdgeId, scratch, worker);
                     shared.metrics.add_busy(worker, prep.elapsed());
                     if let Some(task) = task {
                         execute_fine_delta(shared, task, scope, ctx);
@@ -1400,22 +1091,13 @@ fn run_delta_fine<G: GraphView + ?Sized, S: CycleSink>(
             });
         }
     });
-
-    RunStats {
-        cycles: sink.count(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        work: metrics.snapshot(),
-        threads,
-        ..RunStats::default()
-    }
-    .tagged(Algorithm::Johnson, Granularity::FineGrained)
 }
 
-/// One frontier level of the work-assisting fine driver: the branch tasks to
-/// expand, the packed claim loop idle workers join, and the bucket the next
-/// level is gathered from. Each task slot is claimed exactly once through the
-/// loop; the mutex-wrapped `Option` only arbitrates ownership transfer, never
-/// contended work.
+/// One frontier level of the work-assisting fine schedule: the branch tasks
+/// to expand, the packed claim loop idle workers join, and the bucket the
+/// next level is gathered from. Each task slot is claimed exactly once
+/// through the loop; the mutex-wrapped `Option` only arbitrates ownership
+/// transfer, never contended work.
 struct AssistLevel {
     tasks: Vec<Mutex<Option<FineDeltaTask>>>,
     claims: WorkAssistingLoop,
@@ -1433,8 +1115,8 @@ impl AssistLevel {
     }
 }
 
-/// How the work-assisting driver's participants find the current level: the
-/// coordinator publishes each level under the mutex and bumps `epoch`;
+/// How the work-assisting schedule's participants find the current level:
+/// the coordinator publishes each level under the mutex and bumps `epoch`;
 /// helpers spin on the epoch (yielding, so a 1-core machine still makes
 /// progress) and join whatever is published. `done` releases the helpers when
 /// the last frontier drains — set through a drop guard, so a panicking
@@ -1460,7 +1142,7 @@ impl Drop for DoneGuard<'_> {
 /// `join` per entered loop and one `assist` when the loop was already being
 /// run by another worker (the assisting analogue of a steal).
 fn assist_level<G: GraphView + ?Sized, S: CycleSink>(
-    shared: &FineDeltaShared<'_, G, S>,
+    shared: &Shared<'_, G, S>,
     level: &AssistLevel,
     worker: usize,
 ) {
@@ -1490,8 +1172,8 @@ fn assist_level<G: GraphView + ?Sized, S: CycleSink>(
     }
 }
 
-/// The work-assisting fine-grained delta driver: the same root preparation
-/// and branch expansion as [`run_delta_fine`], scheduled through packed-atomic
+/// The fine-grained work-assisting schedule: the same root preparation and
+/// branch expansion as [`run_fine`], scheduled through packed-atomic
 /// [`WorkAssistingLoop`]s instead of boxed tasks on the stealing deques.
 ///
 /// The run is level-synchronous: all participants first claim root edges
@@ -1504,41 +1186,20 @@ fn assist_level<G: GraphView + ?Sized, S: CycleSink>(
 /// barriers or parked tasks are needed; a worker that arrives mid-level
 /// simply joins it (recorded as an `assist`).
 ///
-/// Trade-off vs. the stealing driver: no per-branch `Job` allocation or deque
+/// Trade-off vs. stealing: no per-branch `Job` allocation or deque
 /// round-trip, but the frontier is breadth-first, so peak memory is bounded
 /// by the widest recursion level rather than the search depth. Reported
 /// cycles and the deterministic work counters (edge visits, recursive calls,
-/// copies, union members, roots) are identical to the stealing driver's —
-/// only the steal/join/assist scheduling counters differ — which is what the
+/// copies, union members, roots) are identical to stealing's — only the
+/// steal/join/assist scheduling counters differ — which is what the
 /// differential sweeps assert.
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + predicate
-fn run_delta_fine_assist<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
+fn run_fine_assist<G: GraphView + ?Sized, S: CycleSink>(
+    shared: &Shared<'_, G, S>,
     roots: Range<EdgeId>,
-    floor: Timestamp,
-    mode: FineDeltaMode<'_>,
-    predicate: &CyclePredicate,
-    sink: &S,
     pool: &ThreadPool,
     scratches: &mut [RootScratch],
-) -> RunStats {
-    let threads = pool.num_threads();
-    assert!(
-        scratches.len() >= threads,
-        "need one scratch per pool worker"
-    );
-    let metrics = WorkMetrics::new(threads);
-    let start = Instant::now();
+) {
     let base = roots.start;
-    let sink = HaltingSink::new(sink);
-    let shared = FineDeltaShared {
-        graph,
-        sink: &sink,
-        metrics: &metrics,
-        mode,
-        predicate,
-        push: Pushdown::of(predicate),
-    };
     let root_claims = WorkAssistingLoop::new(roots.len(), 1);
     let root_out: Mutex<Vec<FineDeltaTask>> = Mutex::new(Vec::new());
     let coord = AssistCoordination {
@@ -1548,8 +1209,7 @@ fn run_delta_fine_assist<G: GraphView + ?Sized, S: CycleSink>(
     };
 
     pool.scope(|scope| {
-        for (slot, scratch) in scratches[..threads].iter_mut().enumerate() {
-            let shared = &shared;
+        for (slot, scratch) in scratches.iter_mut().enumerate() {
             let root_claims = &root_claims;
             let root_out = &root_out;
             let coord = &coord;
@@ -1568,8 +1228,7 @@ fn run_delta_fine_assist<G: GraphView + ?Sized, S: CycleSink>(
                             continue; // drain claims so the loop exhausts
                         }
                         let prep = Instant::now();
-                        let task =
-                            prepare_fine_root(shared, base + i as EdgeId, floor, scratch, worker);
+                        let task = prepare_fine_root(shared, base + i as EdgeId, scratch, worker);
                         shared.metrics.add_busy(worker, prep.elapsed());
                         if let Some(task) = task {
                             prepared.push(task);
@@ -1627,230 +1286,46 @@ fn run_delta_fine_assist<G: GraphView + ?Sized, S: CycleSink>(
             });
         }
     });
-
-    RunStats {
-        cycles: sink.count(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        work: metrics.snapshot(),
-        threads,
-        ..RunStats::default()
-    }
-    .tagged(Algorithm::Johnson, Granularity::FineGrained)
-}
-
-/// Fine-grained parallel simple-cycle delta enumeration: recursion-level
-/// tasks stolen mid-search (the paper's signature decomposition applied to
-/// the backward, max-edge-rooted search). Allocates fresh per-worker scratch;
-/// high-frequency callers should use [`delta_simple_fine_with_scratch`].
-pub fn delta_simple_fine<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_simple_fine_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_simple_fine`] with caller-owned per-worker scratches (at least
-/// `pool.num_threads()` of them, each covering `graph.num_vertices()`).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_simple_fine_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_fine(
-        graph,
-        roots,
-        floor,
-        FineDeltaMode::Simple(opts),
-        predicate,
-        sink,
-        pool,
-        scratches,
-    )
-}
-
-/// Fine-grained parallel temporal-cycle delta enumeration (see
-/// [`delta_simple_fine`]). Allocates fresh per-worker scratch; high-frequency
-/// callers should use [`delta_temporal_fine_with_scratch`].
-pub fn delta_temporal_fine<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_temporal_fine_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_temporal_fine`] with caller-owned per-worker scratches (see
-/// [`delta_simple_fine_with_scratch`]).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_temporal_fine_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_fine(
-        graph,
-        roots,
-        floor,
-        FineDeltaMode::Temporal(opts),
-        predicate,
-        sink,
-        pool,
-        scratches,
-    )
-}
-
-/// Work-assisting simple-cycle delta enumeration: the same enumeration as
-/// [`delta_simple_fine`] scheduled through [`WorkAssistingLoop`]s (see
-/// `run_delta_fine_assist`). Allocates fresh per-worker scratch;
-/// high-frequency callers should use [`delta_simple_assist_with_scratch`].
-pub fn delta_simple_assist<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_simple_assist_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_simple_assist`] with caller-owned per-worker scratches (at least
-/// `pool.num_threads()` of them, each covering `graph.num_vertices()`).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_simple_assist_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_fine_assist(
-        graph,
-        roots,
-        floor,
-        FineDeltaMode::Simple(opts),
-        predicate,
-        sink,
-        pool,
-        scratches,
-    )
-}
-
-/// Work-assisting temporal-cycle delta enumeration (see
-/// [`delta_simple_assist`]). Allocates fresh per-worker scratch;
-/// high-frequency callers should use [`delta_temporal_assist_with_scratch`].
-pub fn delta_temporal_assist<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_temporal_assist_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_temporal_assist`] with caller-owned per-worker scratches (see
-/// [`delta_simple_assist_with_scratch`]).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_temporal_assist_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_fine_assist(
-        graph,
-        roots,
-        floor,
-        FineDeltaMode::Temporal(opts),
-        predicate,
-        sink,
-        pool,
-        scratches,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cycle::{CollectingSink, CountingSink};
+    use crate::cycle::{CollectingSink, CountingSink, FirstKSink};
     use crate::seq::johnson::johnson_simple;
     use crate::seq::temporal::temporal_simple;
     use pce_graph::generators::{self, RandomTemporalConfig};
-    use pce_graph::{GraphBuilder, TemporalGraph};
+    use pce_graph::{EdgePredicate, GraphBuilder, TemporalGraph};
 
-    fn all_roots(g: &TemporalGraph) -> Range<EdgeId> {
-        0..g.num_edges() as EdgeId
+    fn simple(opts: SimpleCycleOptions) -> DeltaPlan {
+        DeltaPlan {
+            kind: DeltaKind::Simple(opts),
+            predicate: CyclePredicate::pass_all(),
+        }
+    }
+
+    fn temporal(opts: TemporalCycleOptions) -> DeltaPlan {
+        DeltaPlan {
+            kind: DeltaKind::Temporal(opts),
+            predicate: CyclePredicate::pass_all(),
+        }
+    }
+
+    /// Runs `plan` over every edge of `g` as a root, on fresh scratch.
+    fn run_all<S: CycleSink>(
+        plan: &DeltaPlan,
+        schedule: Schedule<'_>,
+        g: &TemporalGraph,
+        sink: &S,
+    ) -> RunStats {
+        run(
+            plan,
+            schedule,
+            g,
+            0..g.num_edges() as EdgeId,
+            sink,
+            &mut Vec::new(),
+        )
     }
 
     /// Rooting every edge as the *maximum* must enumerate exactly the same
@@ -1872,14 +1347,7 @@ mod tests {
                 johnson_simple(&g, &opts, &fwd);
                 assert_eq!(fwd.canonical_cycles(), oracle, "seed {seed} delta {delta}");
                 let bwd = CollectingSink::new();
-                delta_simple(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &opts,
-                    &CyclePredicate::pass_all(),
-                    &bwd,
-                );
+                run_all(&simple(opts), Schedule::Sequential, &g, &bwd);
                 assert_eq!(bwd.canonical_cycles(), oracle, "seed {seed} delta {delta}");
             }
         }
@@ -1901,14 +1369,7 @@ mod tests {
                 temporal_simple(&g, &opts, &fwd);
                 assert_eq!(fwd.canonical_cycles(), oracle, "seed {seed} delta {delta}");
                 let bwd = CollectingSink::new();
-                delta_temporal(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &opts,
-                    &CyclePredicate::pass_all(),
-                    &bwd,
-                );
+                run_all(&temporal(opts), Schedule::Sequential, &g, &bwd);
                 assert_eq!(bwd.canonical_cycles(), oracle, "seed {seed} delta {delta}");
             }
         }
@@ -1923,27 +1384,14 @@ mod tests {
             .add_edge(2, 0, 4)
             .build();
         let all = CollectingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &all,
-        );
+        let opts = SimpleCycleOptions::unconstrained();
+        run_all(&simple(opts), Schedule::Sequential, &g, &all);
         assert_eq!(all.count(), 2);
         for c in all.canonical_cycles() {
             c.validate(&g).expect("structurally valid");
         }
         let short = CountingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained().max_len(2),
-            &CyclePredicate::pass_all(),
-            &short,
-        );
+        run_all(&simple(opts.max_len(2)), Schedule::Sequential, &g, &short);
         assert_eq!(short.count(), 1);
     }
 
@@ -1954,271 +1402,176 @@ mod tests {
             .add_edge(0, 1, 2)
             .add_edge(1, 0, 3)
             .build();
+        let opts = SimpleCycleOptions::unconstrained();
         let without = CountingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &without,
-        );
+        run_all(&simple(opts), Schedule::Sequential, &g, &without);
         assert_eq!(without.count(), 1);
         let with = CountingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained().include_self_loops(true),
-            &CyclePredicate::pass_all(),
-            &with,
-        );
+        let plan = simple(opts.include_self_loops(true));
+        run_all(&plan, Schedule::Sequential, &g, &with);
         assert_eq!(with.count(), 2);
-    }
-
-    #[test]
-    fn floor_excludes_expired_content() {
-        // Triangle closed by the t=10 edge, but the t=1 edge is below floor.
-        let g = GraphBuilder::new()
-            .add_edge(0, 1, 1)
-            .add_edge(1, 2, 5)
-            .add_edge(2, 0, 10)
-            .build();
-        let open = CountingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &open,
-        );
-        assert_eq!(open.count(), 1);
-        let floored = CountingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            3,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &floored,
-        );
-        assert_eq!(floored.count(), 0, "expired first hop breaks the cycle");
-        // Roots themselves below the floor are skipped outright.
+        let pool = ThreadPool::new(2);
+        for schedule in [
+            Schedule::Fine(&pool, SchedStrategy::Stealing),
+            Schedule::Fine(&pool, SchedStrategy::Assisting),
+        ] {
+            let with = CountingSink::new();
+            run_all(&plan, schedule, &g, &with);
+            assert_eq!(with.count(), 2);
+        }
+        // A temporal self-loop closes nothing.
         let t = CountingSink::new();
-        delta_temporal(
+        let plan = temporal(TemporalCycleOptions::with_window(10));
+        run_all(
+            &plan,
+            Schedule::Fine(&pool, SchedStrategy::Stealing),
             &g,
-            all_roots(&g),
-            11,
-            &TemporalCycleOptions::with_window(100),
-            &CyclePredicate::pass_all(),
             &t,
         );
-        assert_eq!(t.count(), 0);
+        assert_eq!(t.count(), 1);
     }
 
+    /// Every schedule runs the same preamble and search: for both cycle
+    /// kinds, unfiltered and under an extended predicate hull (total
+    /// ceiling, monotone amounts, a `FromEnd(0)` pin, a vertex deny-set),
+    /// each schedule must report exactly the sequential cycles with
+    /// identical deterministic work counters.
     #[test]
-    fn parallel_matches_sequential() {
-        let g = generators::uniform_temporal(RandomTemporalConfig {
-            num_vertices: 18,
-            num_edges: 90,
-            time_span: 60,
-            seed: 77,
-        });
+    fn every_schedule_matches_sequential() {
+        use pce_graph::generators::MonotoneLayeringConfig;
+        let cfg = MonotoneLayeringConfig {
+            num_accounts: 150,
+            background_edges: 900,
+            time_span: 150_000,
+            num_chains: 5,
+            num_decoys: 6,
+            seed: 777,
+            ..MonotoneLayeringConfig::default()
+        };
+        let (g, _) = generators::monotone_layering(cfg);
+        let hull = CyclePredicate::pass_all()
+            .total_max(cfg.alert_total_max())
+            .monotone_amounts(true)
+            .at(
+                Position::FromEnd(0),
+                EdgePredicate::pass_all().min_amount(cfg.alert_floor()),
+            )
+            .vertices(VertexFilter::deny(vec![0, 1]));
         let pool = ThreadPool::new(4);
-        let simple_opts = SimpleCycleOptions::with_window(20);
-        let seq = CollectingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &simple_opts,
-            &CyclePredicate::pass_all(),
-            &seq,
-        );
-        let par = CollectingSink::new();
-        let stats = delta_simple_parallel(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &simple_opts,
-            &CyclePredicate::pass_all(),
-            &par,
-            &pool,
-        );
-        assert_eq!(seq.canonical_cycles(), par.canonical_cycles());
-        assert_eq!(stats.threads, 4);
-
-        let temporal_opts = TemporalCycleOptions::with_window(25);
-        let seq = CollectingSink::new();
-        delta_temporal(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &temporal_opts,
-            &CyclePredicate::pass_all(),
-            &seq,
-        );
-        let par = CollectingSink::new();
-        delta_temporal_parallel(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &temporal_opts,
-            &CyclePredicate::pass_all(),
-            &par,
-            &pool,
-        );
-        assert_eq!(seq.canonical_cycles(), par.canonical_cycles());
+        let schedules = [
+            ("sharded", Schedule::Sharded(&pool, ShardSpec::new(2))),
+            ("per-root", Schedule::PerRoot(&pool)),
+            ("stealing", Schedule::Fine(&pool, SchedStrategy::Stealing)),
+            ("assisting", Schedule::Fine(&pool, SchedStrategy::Assisting)),
+        ];
+        let counters = |s: &RunStats| {
+            [
+                s.work.total_edge_visits(),
+                s.work.total_recursive_calls(),
+                s.work.total_union_members(),
+                s.work.total_roots(),
+                s.work.total_aggregate_prunes(),
+                s.work.total_positional_prunes(),
+                s.work.total_vertex_prunes(),
+            ]
+        };
+        for kind in [
+            DeltaKind::Simple(SimpleCycleOptions::with_window(cfg.chain_span)),
+            DeltaKind::Temporal(TemporalCycleOptions::with_window(cfg.chain_span)),
+        ] {
+            for predicate in [CyclePredicate::pass_all(), hull.clone()] {
+                let filtered = !predicate.is_pass_all();
+                let plan = DeltaPlan {
+                    kind: kind.clone(),
+                    predicate,
+                };
+                let seq = CollectingSink::new();
+                let seq_stats = run_all(&plan, Schedule::Sequential, &g, &seq);
+                assert!(seq.count() > 0, "{kind:?}");
+                if filtered {
+                    let work = &seq_stats.work;
+                    assert!(work.total_aggregate_prunes() > 0, "{kind:?}");
+                    assert!(work.total_positional_prunes() > 0, "{kind:?}");
+                    assert!(work.total_vertex_prunes() > 0, "{kind:?}");
+                }
+                for (name, schedule) in schedules {
+                    let sink = CollectingSink::new();
+                    let stats = run_all(&plan, schedule, &g, &sink);
+                    let case = format!("{name} {kind:?} filtered={filtered}");
+                    assert_eq!(sink.canonical_cycles(), seq.canonical_cycles(), "{case}");
+                    assert_eq!(counters(&stats), counters(&seq_stats), "{case}");
+                    assert_eq!(stats.threads, 4, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn fine_matches_sequential() {
-        let g = generators::uniform_temporal(RandomTemporalConfig {
-            num_vertices: 18,
-            num_edges: 90,
-            time_span: 60,
-            seed: 78,
-        });
-        let pool = ThreadPool::new(4);
-        let simple_opts = SimpleCycleOptions::with_window(20);
-        let seq = CollectingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &simple_opts,
-            &CyclePredicate::pass_all(),
-            &seq,
-        );
-        let fine = CollectingSink::new();
-        let stats = delta_simple_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &simple_opts,
-            &CyclePredicate::pass_all(),
-            &fine,
-            &pool,
-        );
-        assert_eq!(seq.canonical_cycles(), fine.canonical_cycles());
-        assert_eq!(stats.threads, 4);
-        assert_eq!(stats.granularity, Some(Granularity::FineGrained));
-
-        let temporal_opts = TemporalCycleOptions::with_window(25).max_len(4);
-        let seq = CollectingSink::new();
-        delta_temporal(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &temporal_opts,
-            &CyclePredicate::pass_all(),
-            &seq,
-        );
-        let fine = CollectingSink::new();
-        delta_temporal_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &temporal_opts,
-            &CyclePredicate::pass_all(),
-            &fine,
-            &pool,
-        );
-        assert_eq!(seq.canonical_cycles(), fine.canonical_cycles());
-    }
-
-    #[test]
-    fn fine_results_independent_of_thread_count_and_floor() {
+    fn fine_results_independent_of_thread_count() {
         let g = generators::power_law_temporal(RandomTemporalConfig {
             num_vertices: 20,
             num_edges: 110,
             time_span: 70,
             seed: 1_301,
         });
-        let opts = TemporalCycleOptions::with_window(30);
-        for floor in [Timestamp::MIN, 20] {
-            let reference = CollectingSink::new();
-            delta_temporal(
+        let plan = temporal(TemporalCycleOptions::with_window(30));
+        let reference = CollectingSink::new();
+        run_all(&plan, Schedule::Sequential, &g, &reference);
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let sink = CollectingSink::new();
+            let stats = run_all(
+                &plan,
+                Schedule::Fine(&pool, SchedStrategy::Stealing),
                 &g,
-                all_roots(&g),
-                floor,
-                &opts,
-                &CyclePredicate::pass_all(),
-                &reference,
+                &sink,
             );
-            for threads in [1, 2, 4] {
-                let sink = CollectingSink::new();
-                delta_temporal_fine(
-                    &g,
-                    all_roots(&g),
-                    floor,
-                    &opts,
-                    &CyclePredicate::pass_all(),
-                    &sink,
-                    &ThreadPool::new(threads),
-                );
-                assert_eq!(
-                    reference.canonical_cycles(),
-                    sink.canonical_cycles(),
-                    "threads {threads} floor {floor}"
-                );
-            }
+            assert_eq!(
+                reference.canonical_cycles(),
+                sink.canonical_cycles(),
+                "threads {threads}"
+            );
+            assert_eq!(stats.granularity, Some(Granularity::FineGrained));
         }
     }
 
+    /// Early termination: the sink stops the run under every schedule, and
+    /// drained claim loops must still let the scope finish (no wedged
+    /// coordinator).
     #[test]
-    fn fine_self_loops_and_early_termination() {
-        let g = GraphBuilder::new()
-            .add_edge(0, 0, 1)
-            .add_edge(0, 1, 2)
-            .add_edge(1, 0, 3)
-            .build();
-        let pool = ThreadPool::new(2);
-        let with = CountingSink::new();
-        delta_simple_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained().include_self_loops(true),
-            &CyclePredicate::pass_all(),
-            &with,
-            &pool,
-        );
-        assert_eq!(with.count(), 2);
-
+    fn early_termination_stops_every_schedule() {
         let g = generators::fig4a_exponential_cycles(12);
-        let sink = crate::cycle::FirstKSink::new(3);
-        delta_simple_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &sink,
-            &pool,
-        );
-        assert_eq!(sink.into_cycles().len(), 3);
+        let plan = simple(SimpleCycleOptions::unconstrained());
+        let pool = ThreadPool::new(2);
+        for schedule in [
+            Schedule::Sequential,
+            Schedule::Sharded(&pool, ShardSpec::new(2)),
+            Schedule::PerRoot(&pool),
+            Schedule::Fine(&pool, SchedStrategy::Stealing),
+            Schedule::Fine(&pool, SchedStrategy::Assisting),
+        ] {
+            let sink = FirstKSink::new(3);
+            run_all(&plan, schedule, &g, &sink);
+            assert_eq!(sink.into_cycles().len(), 3);
+        }
     }
 
     /// The delta mirror of `fine_johnson::fig4a_work_is_spread_across_workers`:
     /// every cycle of the hub-burst gadget is closed by one root edge, so the
-    /// coarse driver pins to a single worker while the fine driver must spread
-    /// the search across workers via task steals.
+    /// per-root schedule pins to a single worker while the fine one must
+    /// spread the search across workers via task steals.
     #[test]
     fn hub_burst_work_is_spread_across_workers() {
         let g = generators::hub_burst(2, 13);
         let expected = generators::hub_burst_cycle_count(2, 13);
-        let opts = SimpleCycleOptions::unconstrained();
+        let pool = ThreadPool::new(4);
+        let fine = Schedule::Fine(&pool, SchedStrategy::Stealing);
         let sink = CountingSink::new();
-        let stats = delta_simple_fine(
+        let stats = run_all(
+            &simple(SimpleCycleOptions::unconstrained()),
+            fine,
             &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &CyclePredicate::pass_all(),
             &sink,
-            &ThreadPool::new(4),
         );
         assert_eq!(sink.count(), expected);
         eprintln!(
@@ -2247,24 +1600,16 @@ mod tests {
         // The temporal variant agrees on the count (every hub-burst cycle is
         // temporal by construction).
         let sink = CountingSink::new();
-        delta_temporal_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &TemporalCycleOptions::with_window(1_000),
-            &CyclePredicate::pass_all(),
-            &sink,
-            &ThreadPool::new(4),
-        );
+        let plan = temporal(TemporalCycleOptions::with_window(1_000));
+        run_all(&plan, fine, &g, &sink);
         assert_eq!(sink.count(), expected);
     }
 
-    /// The work-assisting driver is a drop-in replacement for the stealing
-    /// one: identical reported cycles at every thread count, identical
-    /// deterministic work counters (it runs the same expansion body), and
-    /// join events instead of steal events.
+    /// The work-assisting strategy is a drop-in replacement for stealing:
+    /// identical reported cycles at every thread count, and join events
+    /// instead of steal events.
     #[test]
-    fn assist_matches_sequential_and_steal_counters() {
+    fn assist_matches_stealing_at_every_thread_count() {
         for (seed, delta) in [(1_401, 20), (1_402, 35)] {
             let g = generators::uniform_temporal(RandomTemporalConfig {
                 num_vertices: 18,
@@ -2272,171 +1617,66 @@ mod tests {
                 time_span: 60,
                 seed,
             });
-            let simple_opts = SimpleCycleOptions::with_window(delta);
-            let seq = CollectingSink::new();
-            delta_simple(
-                &g,
-                all_roots(&g),
-                Timestamp::MIN,
-                &simple_opts,
-                &CyclePredicate::pass_all(),
-                &seq,
-            );
-            for threads in [1, 2, 4] {
-                let pool = ThreadPool::new(threads);
-                let steal = CollectingSink::new();
-                let steal_stats = delta_simple_fine(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &simple_opts,
-                    &CyclePredicate::pass_all(),
-                    &steal,
-                    &pool,
-                );
-                let assist = CollectingSink::new();
-                let assist_stats = delta_simple_assist(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &simple_opts,
-                    &CyclePredicate::pass_all(),
-                    &assist,
-                    &pool,
-                );
-                assert_eq!(
-                    seq.canonical_cycles(),
-                    assist.canonical_cycles(),
-                    "seed {seed} threads {threads}"
-                );
-                assert_eq!(steal.canonical_cycles(), assist.canonical_cycles());
-                // Same expansion body => identical deterministic counters.
-                assert_eq!(
-                    steal_stats.work.total_edge_visits(),
-                    assist_stats.work.total_edge_visits()
-                );
-                assert_eq!(
-                    steal_stats.work.total_recursive_calls(),
-                    assist_stats.work.total_recursive_calls()
-                );
-                assert_eq!(
-                    steal_stats.work.total_copies(),
-                    assist_stats.work.total_copies()
-                );
-                assert_eq!(
-                    steal_stats.work.total_union_members(),
-                    assist_stats.work.total_union_members()
-                );
-                assert_eq!(
-                    steal_stats.work.total_roots(),
-                    assist_stats.work.total_roots()
-                );
-                // Only the scheduling counters differ in kind.
-                assert_eq!(assist_stats.work.total_steals(), 0);
-                assert!(assist_stats.work.total_joins() > 0);
-                assert_eq!(steal_stats.work.total_joins(), 0);
-            }
-
-            let temporal_opts = TemporalCycleOptions::with_window(delta);
-            let seq = CollectingSink::new();
-            delta_temporal(
-                &g,
-                all_roots(&g),
-                Timestamp::MIN,
-                &temporal_opts,
-                &CyclePredicate::pass_all(),
-                &seq,
-            );
-            for threads in [1, 4] {
-                let assist = CollectingSink::new();
-                delta_temporal_assist(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &temporal_opts,
-                    &CyclePredicate::pass_all(),
-                    &assist,
-                    &ThreadPool::new(threads),
-                );
-                assert_eq!(
-                    seq.canonical_cycles(),
-                    assist.canonical_cycles(),
-                    "temporal seed {seed} threads {threads}"
-                );
+            for plan in [
+                simple(SimpleCycleOptions::with_window(delta)),
+                temporal(TemporalCycleOptions::with_window(delta)),
+            ] {
+                let seq = CollectingSink::new();
+                run_all(&plan, Schedule::Sequential, &g, &seq);
+                for threads in [1, 2, 4] {
+                    let pool = ThreadPool::new(threads);
+                    let steal = CollectingSink::new();
+                    let steal_stats = run_all(
+                        &plan,
+                        Schedule::Fine(&pool, SchedStrategy::Stealing),
+                        &g,
+                        &steal,
+                    );
+                    let assist = CollectingSink::new();
+                    let assist_stats = run_all(
+                        &plan,
+                        Schedule::Fine(&pool, SchedStrategy::Assisting),
+                        &g,
+                        &assist,
+                    );
+                    let case = format!("seed {seed} threads {threads} {:?}", plan.kind);
+                    assert_eq!(seq.canonical_cycles(), assist.canonical_cycles(), "{case}");
+                    assert_eq!(
+                        steal.canonical_cycles(),
+                        assist.canonical_cycles(),
+                        "{case}"
+                    );
+                    // Same expansion body => identical copy counts; only the
+                    // scheduling counters differ in kind.
+                    assert_eq!(
+                        steal_stats.work.total_copies(),
+                        assist_stats.work.total_copies()
+                    );
+                    assert_eq!(assist_stats.work.total_steals(), 0);
+                    assert!(assist_stats.work.total_joins() > 0);
+                    assert_eq!(steal_stats.work.total_joins(), 0);
+                }
             }
         }
     }
 
-    #[test]
-    fn assist_respects_floor_early_stop_and_self_loops() {
-        let g = GraphBuilder::new()
-            .add_edge(0, 0, 1)
-            .add_edge(0, 1, 2)
-            .add_edge(1, 0, 3)
-            .build();
-        let pool = ThreadPool::new(2);
-        let with = CountingSink::new();
-        delta_simple_assist(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained().include_self_loops(true),
-            &CyclePredicate::pass_all(),
-            &with,
-            &pool,
-        );
-        assert_eq!(with.count(), 2);
-        let floored = CountingSink::new();
-        delta_simple_assist(
-            &g,
-            all_roots(&g),
-            3,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &floored,
-            &pool,
-        );
-        assert_eq!(floored.count(), 0, "both cycle-closing hops are expired");
-
-        // Early termination: the sink stops the run, and drained claim loops
-        // must still let the scope finish (no wedged coordinator).
-        let g = generators::fig4a_exponential_cycles(12);
-        let sink = crate::cycle::FirstKSink::new(3);
-        delta_simple_assist(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &sink,
-            &pool,
-        );
-        assert_eq!(sink.into_cycles().len(), 3);
-    }
-
     /// The assisting analogue of `hub_burst_work_is_spread_across_workers`:
-    /// where the stealing driver records steals on the single-root burst, the
-    /// assisting driver must record assists (a second worker joining an
-    /// active claim loop). Requires real parallelism, so it is skipped on a
-    /// 1-core executor; joining hub workers race real work, so a handful of
-    /// attempts are allowed before declaring the scheduler broken.
+    /// where stealing records steals on the single-root burst, assisting must
+    /// record assists (a second worker joining an active claim loop).
+    /// Requires real parallelism, so it is skipped on a 1-core executor;
+    /// joining hub workers race real work, so a handful of attempts are
+    /// allowed before declaring the scheduler broken.
     #[test]
     fn hub_burst_assisting_records_assists() {
         let g = generators::hub_burst(2, 13);
         let expected = generators::hub_burst_cycle_count(2, 13);
-        let opts = SimpleCycleOptions::unconstrained();
+        let plan = simple(SimpleCycleOptions::unconstrained());
+        let pool = ThreadPool::new(4);
+        let assisting = Schedule::Fine(&pool, SchedStrategy::Assisting);
         if pce_sched::available_parallelism() < 2 {
             // Still check correctness single-threaded before skipping.
             let sink = CountingSink::new();
-            delta_simple_assist(
-                &g,
-                all_roots(&g),
-                Timestamp::MIN,
-                &opts,
-                &CyclePredicate::pass_all(),
-                &sink,
-                &ThreadPool::new(4),
-            );
+            run_all(&plan, assisting, &g, &sink);
             assert_eq!(sink.count(), expected);
             eprintln!("skipping assist-spread assertion: single-core executor");
             return;
@@ -2444,15 +1684,7 @@ mod tests {
         let mut last_assists = 0;
         for attempt in 0..5 {
             let sink = CountingSink::new();
-            let stats = delta_simple_assist(
-                &g,
-                all_roots(&g),
-                Timestamp::MIN,
-                &opts,
-                &CyclePredicate::pass_all(),
-                &sink,
-                &ThreadPool::new(4),
-            );
+            let stats = run_all(&plan, assisting, &g, &sink);
             assert_eq!(sink.count(), expected, "attempt {attempt}");
             assert_eq!(stats.work.total_steals(), 0);
             last_assists = stats.work.total_assists();
@@ -2474,32 +1706,17 @@ mod tests {
             .build();
         // Roots {2} (the 1→0 edge) close exactly the 0/1 cycle.
         let sink = CollectingSink::new();
-        delta_simple(
+        run(
+            &simple(SimpleCycleOptions::unconstrained()),
+            Schedule::Sequential,
             &g,
             2..3,
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
             &sink,
+            &mut Vec::new(),
         );
         let cycles = sink.into_cycles();
         assert_eq!(cycles.len(), 1);
         assert!(cycles[0].vertices.contains(&0) && cycles[0].vertices.contains(&1));
-    }
-
-    #[test]
-    fn early_termination_stops_the_delta_run() {
-        let g = generators::fig4a_exponential_cycles(12);
-        let sink = crate::cycle::FirstKSink::new(3);
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &sink,
-        );
-        assert_eq!(sink.into_cycles().len(), 3);
     }
 
     /// Canonical post-filter baseline: pass-all enumeration re-checked per
@@ -2524,7 +1741,7 @@ mod tests {
     /// decidable early must record their prune counters.
     #[test]
     fn cycle_predicate_pushdown_matches_post_filter() {
-        use pce_graph::{EdgePredicate, LabelFilter};
+        use pce_graph::LabelFilter;
         let mut b = GraphBuilder::new();
         for (src, dst, ts, amount, label) in [
             (0, 1, 1, 5, 1),
@@ -2536,16 +1753,9 @@ mod tests {
             b.push_attr_edge(TemporalEdge::with_attrs(src, dst, ts, amount, label));
         }
         let g = b.build();
-        let opts = SimpleCycleOptions::unconstrained();
+        let mut plan = simple(SimpleCycleOptions::unconstrained());
         let all = CollectingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &CyclePredicate::pass_all(),
-            &all,
-        );
+        run_all(&plan, Schedule::Sequential, &g, &all);
         let raw = all.into_cycles();
         assert_eq!(raw.len(), 2, "both 3-cycles close at the 2→0 root");
 
@@ -2592,11 +1802,12 @@ mod tests {
                 Some("aggregate"),
             ),
         ];
-        for (i, (p, expect, counter)) in cases.iter().enumerate() {
-            let expected = post_filtered(&g, raw.clone(), p);
-            assert_eq!(expected.len(), *expect, "case {i}: oracle cardinality");
+        for (i, (p, expect, counter)) in cases.into_iter().enumerate() {
+            let expected = post_filtered(&g, raw.clone(), &p);
+            assert_eq!(expected.len(), expect, "case {i}: oracle cardinality");
+            plan.predicate = p;
             let sink = CollectingSink::new();
-            let stats = delta_simple(&g, all_roots(&g), Timestamp::MIN, &opts, p, &sink);
+            let stats = run_all(&plan, Schedule::Sequential, &g, &sink);
             assert_eq!(sink.canonical_cycles(), expected, "case {i}: pushdown");
             match counter {
                 Some("vertex") => assert!(stats.work.total_vertex_prunes() > 0, "case {i}"),
@@ -2612,11 +1823,11 @@ mod tests {
     }
 
     /// The monotone-layering workload separates signal from decoys *only*
-    /// through the aggregate constraints; every driver granularity must
-    /// agree with the post-filtered baseline, record identical prune
-    /// counters, and prune strictly more than zero branches.
+    /// through the aggregate constraints: the pushed-down alert predicate
+    /// must report exactly the post-filtered planted chains, pruning the
+    /// decoys mid-path rather than at close.
     #[test]
-    fn aggregate_pushdown_is_identical_across_granularities() {
+    fn aggregate_pushdown_prunes_decoys_mid_path() {
         use pce_graph::generators::MonotoneLayeringConfig;
         let cfg = MonotoneLayeringConfig {
             num_accounts: 150,
@@ -2626,84 +1837,21 @@ mod tests {
             seed: 777,
             ..MonotoneLayeringConfig::default()
         };
-        let predicate = cfg.alert_predicate();
-        let window = cfg.chain_span;
         let (g, planted) = generators::monotone_layering(cfg);
         assert!(planted > 0);
-        let opts = TemporalCycleOptions::with_window(window);
-
+        let mut plan = temporal(TemporalCycleOptions::with_window(cfg.chain_span));
         let all = CollectingSink::new();
-        delta_temporal(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &CyclePredicate::pass_all(),
-            &all,
-        );
-        let expected = post_filtered(&g, all.into_cycles(), &predicate);
+        run_all(&plan, Schedule::Sequential, &g, &all);
+        plan.predicate = cfg.alert_predicate();
+        let expected = post_filtered(&g, all.into_cycles(), &plan.predicate);
         assert_eq!(expected.len(), planted, "only the planted chains survive");
 
         let seq = CollectingSink::new();
-        let seq_stats = delta_temporal(&g, all_roots(&g), Timestamp::MIN, &opts, &predicate, &seq);
+        let stats = run_all(&plan, Schedule::Sequential, &g, &seq);
         assert_eq!(seq.canonical_cycles(), expected);
         assert!(
-            seq_stats.work.total_aggregate_prunes() > 0,
+            stats.work.total_aggregate_prunes() > 0,
             "decoys must be pruned mid-path, not post-filtered"
         );
-
-        let pool = ThreadPool::new(4);
-        let mut scratches = fresh_scratches(&g, &pool);
-        let coarse = CollectingSink::new();
-        let coarse_stats = delta_temporal_parallel_with_scratch(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &predicate,
-            &coarse,
-            &pool,
-            &mut scratches,
-        );
-        assert_eq!(coarse.canonical_cycles(), expected);
-        let fine = CollectingSink::new();
-        let fine_stats = delta_temporal_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &predicate,
-            &fine,
-            &pool,
-        );
-        assert_eq!(fine.canonical_cycles(), expected);
-        let assist = CollectingSink::new();
-        let assist_stats = delta_temporal_assist(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &predicate,
-            &assist,
-            &pool,
-        );
-        assert_eq!(assist.canonical_cycles(), expected);
-
-        // The prune counters are data-deterministic: identical across every
-        // granularity and scheduling strategy.
-        for stats in [&coarse_stats, &fine_stats, &assist_stats] {
-            assert_eq!(
-                stats.work.total_aggregate_prunes(),
-                seq_stats.work.total_aggregate_prunes()
-            );
-            assert_eq!(
-                stats.work.total_positional_prunes(),
-                seq_stats.work.total_positional_prunes()
-            );
-            assert_eq!(
-                stats.work.total_vertex_prunes(),
-                seq_stats.work.total_vertex_prunes()
-            );
-        }
     }
 }

@@ -11,7 +11,7 @@
 //! | Johnson | [`seq::johnson`] | [`par::coarse`] | [`par::fine_johnson`] |
 //! | Read-Tarjan | [`seq::read_tarjan`] | [`par::coarse`] | [`par::fine_read_tarjan`] |
 //! | Temporal (2SCENT-style) | [`seq::temporal`] | [`par::coarse`] | [`par::fine_temporal`] |
-//! | Delta (max-edge-rooted, streaming) | [`delta::delta_simple`] / [`delta::delta_temporal`] | [`delta::delta_simple_parallel`] / [`delta::delta_temporal_parallel`] | [`delta::delta_simple_fine`] / [`delta::delta_temporal_fine`] |
+//! | Delta (max-edge-rooted, streaming; [`delta::run`]) | [`delta::Schedule::Sequential`] / [`delta::Schedule::Sharded`] | [`delta::Schedule::PerRoot`] | [`delta::Schedule::Fine`] |
 //! | Multi-query subscriptions (one shared delta pass, per-query fan-out) | [`MultiStreamingEngine`] at [`Granularity::Sequential`] | … at [`Granularity::CoarseGrained`] (default) | … at [`Granularity::FineGrained`] (via [`MultiStreamingEngine::with_granularity`]) |
 //!
 //! All enumerators share the same problem definitions (see [`cycle`]), report

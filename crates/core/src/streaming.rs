@@ -79,13 +79,7 @@
 //! enumeration pipeline ever blocking on a slow consumer.
 
 use crate::cycle::{CollectingSink, CountingSink, Cycle, CycleSink};
-use crate::delta::{
-    delta_simple_assist_with_scratch, delta_simple_fine_with_scratch,
-    delta_simple_parallel_with_scratch, delta_simple_sharded_with_scratch,
-    delta_simple_with_scratch, delta_temporal_assist_with_scratch,
-    delta_temporal_fine_with_scratch, delta_temporal_parallel_with_scratch,
-    delta_temporal_sharded_with_scratch, delta_temporal_with_scratch,
-};
+use crate::delta::{self, DeltaKind, DeltaPlan, Schedule};
 use crate::engine::{CollectMode, CycleKind, Engine, EnumerationError, Granularity, SchedStrategy};
 use crate::metrics::{LatencyStats, RunStats};
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
@@ -400,6 +394,67 @@ impl StreamingQuery {
         }
         Ok(())
     }
+
+    /// The delta plan this query runs against every batch.
+    fn plan(&self) -> DeltaPlan {
+        delta_plan(
+            self.kind,
+            self.window_delta,
+            self.max_len,
+            self.include_self_loops,
+            self.predicate.clone(),
+        )
+    }
+}
+
+/// The delta plan enumerating `kind` cycles within window `delta`.
+fn delta_plan(
+    kind: CycleKind,
+    delta: Timestamp,
+    max_len: Option<usize>,
+    include_self_loops: bool,
+    predicate: CyclePredicate,
+) -> DeltaPlan {
+    let kind = match kind {
+        CycleKind::Simple => DeltaKind::Simple(SimpleCycleOptions {
+            window_delta: Some(delta),
+            max_len,
+            include_self_loops,
+        }),
+        CycleKind::Temporal => DeltaKind::Temporal(TemporalCycleOptions {
+            window_delta: delta,
+            max_len,
+        }),
+    };
+    DeltaPlan { kind, predicate }
+}
+
+/// The schedule one batch's delta run executes under: the requested
+/// granularity, degraded to sequential when there is nothing to parallelise
+/// over. Per-root degrades on single-root batches (one task per root cannot
+/// occupy a second worker); fine-grained splits *within* a root, so a single
+/// hot root is exactly where it must stay parallel. A sequential request on
+/// a sharded, multi-threaded engine runs shard-parallel — each shard owns
+/// the roots whose source vertex it stores — while coarse and fine already
+/// decompose below shard level and ignore the layout. Only a parallel
+/// schedule touches the engine's lazily created pool.
+fn schedule_for(
+    engine: &Engine,
+    granularity: Granularity,
+    sched: SchedStrategy,
+    shards: ShardSpec,
+    batch_roots: usize,
+) -> Schedule<'_> {
+    if engine.threads() <= 1 || batch_roots == 0 {
+        return Schedule::Sequential;
+    }
+    match granularity {
+        Granularity::Sequential if shards.is_single() => Schedule::Sequential,
+        Granularity::Sequential => Schedule::Sharded(engine.pool(), shards),
+        Granularity::CoarseGrained if batch_roots <= 1 => Schedule::Sequential,
+        Granularity::CoarseGrained => Schedule::PerRoot(engine.pool()),
+        Granularity::FineGrained => Schedule::Fine(engine.pool(), sched),
+    }
 }
 
 /// A cycle reported by the streaming engine, resolved to concrete temporal
@@ -496,8 +551,9 @@ pub struct BatchReport {
     pub expired: usize,
     /// Edges inside the window after the ingest.
     pub live_edges: usize,
-    /// The live window after the ingest.
-    pub window: TimeWindow,
+    /// The live window after the ingest; `None` until the first edge sets a
+    /// watermark.
+    pub window: Option<TimeWindow>,
     /// Cycles closed by this batch (count; equals `cycles.len()` when the
     /// query materialises them).
     pub cycles_found: u64,
@@ -539,9 +595,10 @@ pub struct StreamingEngine {
     engine: Engine,
     graph: SlidingWindowGraph,
     query: StreamingQuery,
+    /// The query's delta plan, built once.
+    plan: DeltaPlan,
     /// Reused across every delta run (epoch-stamped, grown as the vertex set
-    /// grows) so ingests pay no per-batch allocation: one scratch for
-    /// sequential runs, one per pool worker for parallel runs.
+    /// grows) so ingests pay no per-batch allocation.
     scratches: Vec<RootScratch>,
     batches: u64,
     total_cycles: u64,
@@ -573,6 +630,7 @@ impl StreamingEngine {
         Ok(Self {
             engine: Engine::with_threads(threads),
             graph: SlidingWindowGraph::with_shards(retention, shards),
+            plan: query.plan(),
             query,
             scratches: Vec::new(),
             batches: 0,
@@ -589,57 +647,35 @@ impl StreamingEngine {
         let t0 = Instant::now();
         let pool = (self.engine.threads() > 1 && !self.graph.shard_spec().is_single())
             .then(|| self.engine.pool().as_ref());
-        let delta = self.graph.append_batch_on(batch, pool)?;
+        let ingested = self.graph.append_batch_on(batch, pool)?;
         let ingest_secs = t0.elapsed().as_secs_f64();
 
-        // No floor: `window_delta <= retention` (enforced at construction)
-        // guarantees that every edge a root's search can need — timestamps
-        // in `[root_ts - δ : root_ts]` — is still physically stored when the
+        // `window_delta <= retention` (enforced at construction) guarantees
+        // that every edge a root's search can need — timestamps in
+        // `[root_ts - δ : root_ts]` — is still physically stored when the
         // root arrives, because compaction only removes edges below the
         // *previous* batch's window start and `root_ts >= watermark` held at
         // append time. Reports are therefore independent of batch
         // boundaries: a cycle is announced exactly when its closing edge
         // arrives, no matter how the stream is chopped.
-        let floor = Timestamp::MIN;
-        let granularity = self.effective_granularity(delta.roots.len());
-        // A Sequential-granularity query on a sharded, multi-threaded engine
-        // runs the delta pass shard-parallel: each shard owns the roots whose
-        // source vertex it stores, so the per-root sequential searches spread
-        // across the pool without changing what is reported (see
-        // `delta::run_delta_sharded`). Coarse/fine granularities already
-        // decompose below shard level and ignore the shard layout here.
-        let sharded = (self.query.granularity == Granularity::Sequential
-            && self.engine.threads() > 1
-            && !self.graph.shard_spec().is_single()
-            && !delta.roots.is_empty())
-        .then(|| self.graph.shard_spec());
-        let want = if sharded.is_some() {
-            self.engine.threads()
-        } else if granularity == Granularity::Sequential {
-            1
-        } else {
-            self.engine.threads()
-        };
-        if self.scratches.len() < want {
-            self.scratches.resize_with(want, || RootScratch::new(0));
-        }
-        for scratch in &mut self.scratches {
-            scratch.ensure_vertices(self.graph.num_vertices());
-        }
         let t1 = Instant::now();
+        let schedule = schedule_for(
+            &self.engine,
+            self.query.granularity,
+            self.query.sched,
+            self.graph.shard_spec(),
+            ingested.roots.len(),
+        );
         let (cycles, stats) = match self.query.collect {
             CollectMode::Collect => {
                 let sink = CollectingSink::new();
-                let stats = run_delta(
-                    &self.query,
-                    &self.engine,
+                let stats = delta::run(
+                    &self.plan,
+                    schedule,
                     &self.graph,
-                    &mut self.scratches,
+                    ingested.roots.clone(),
                     &sink,
-                    delta.roots.clone(),
-                    floor,
-                    granularity,
-                    sharded,
+                    &mut self.scratches,
                 );
                 let resolved = sink
                     .into_cycles()
@@ -650,16 +686,13 @@ impl StreamingEngine {
             }
             CollectMode::Count => {
                 let sink = CountingSink::new();
-                let stats = run_delta(
-                    &self.query,
-                    &self.engine,
+                let stats = delta::run(
+                    &self.plan,
+                    schedule,
                     &self.graph,
-                    &mut self.scratches,
+                    ingested.roots.clone(),
                     &sink,
-                    delta.roots.clone(),
-                    floor,
-                    granularity,
-                    sharded,
+                    &mut self.scratches,
                 );
                 (Vec::new(), stats)
             }
@@ -669,10 +702,10 @@ impl StreamingEngine {
         let report = BatchReport {
             query: QueryId::SOLO,
             batch: self.batches,
-            appended: delta.appended,
-            expired: delta.expired,
+            appended: ingested.appended,
+            expired: ingested.expired,
             live_edges: self.graph.live_edges().len(),
-            window: delta.window,
+            window: ingested.window,
             cycles_found: stats.cycles,
             cycles,
             ingest_secs,
@@ -716,172 +749,6 @@ impl StreamingEngine {
     /// the [module docs](self)).
     pub fn snapshot(&self) -> TemporalGraph {
         self.graph.snapshot()
-    }
-
-    /// The granularity one batch's delta run effectively executes at: the
-    /// query's requested granularity, degraded to sequential when there is
-    /// nothing to parallelise over. Coarse-grained degrades on single-root
-    /// batches (one task per root cannot occupy a second worker); the
-    /// fine-grained driver splits *within* a root, so a single hot root is
-    /// exactly where it must stay parallel.
-    fn effective_granularity(&self, batch_roots: usize) -> Granularity {
-        if self.engine.threads() <= 1 || batch_roots == 0 {
-            return Granularity::Sequential;
-        }
-        match self.query.granularity {
-            Granularity::CoarseGrained if batch_roots <= 1 => Granularity::Sequential,
-            requested => requested,
-        }
-    }
-}
-
-/// Dispatches one delta run (free function so the engine can lend out its
-/// graph immutably and its scratches mutably at the same time). Sequential
-/// runs reuse `scratches[0]` — unless `sharded` is set, in which case the
-/// per-root sequential searches are spread shard-parallel across the pool
-/// (one task per shard, roots owned by their closing edge's source vertex).
-/// Parallel runs — coarse (one task per root) or fine (stealable
-/// recursion-level tasks) — hand each pool worker its own persistent
-/// scratch. No allocation on the hot path either way.
-#[allow(clippy::too_many_arguments)] // private dispatcher over engine fields
-fn run_delta<S: crate::cycle::CycleSink>(
-    query: &StreamingQuery,
-    engine: &Engine,
-    graph: &SlidingWindowGraph,
-    scratches: &mut [RootScratch],
-    sink: &S,
-    roots: std::ops::Range<pce_graph::EdgeId>,
-    floor: Timestamp,
-    granularity: Granularity,
-    sharded: Option<ShardSpec>,
-) -> RunStats {
-    let predicate = &query.predicate;
-    match query.kind {
-        CycleKind::Simple => {
-            let opts = SimpleCycleOptions {
-                window_delta: Some(query.window_delta),
-                max_len: query.max_len,
-                include_self_loops: query.include_self_loops,
-            };
-            match granularity {
-                Granularity::Sequential => match sharded {
-                    Some(spec) => delta_simple_sharded_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        spec,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                    None => delta_simple_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        &mut scratches[0],
-                    ),
-                },
-                Granularity::CoarseGrained => delta_simple_parallel_with_scratch(
-                    graph,
-                    roots,
-                    floor,
-                    &opts,
-                    predicate,
-                    sink,
-                    engine.pool(),
-                    scratches,
-                ),
-                Granularity::FineGrained => match query.sched {
-                    SchedStrategy::Stealing => delta_simple_fine_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                    SchedStrategy::Assisting => delta_simple_assist_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                },
-            }
-        }
-        CycleKind::Temporal => {
-            let opts = TemporalCycleOptions {
-                window_delta: query.window_delta,
-                max_len: query.max_len,
-            };
-            match granularity {
-                Granularity::Sequential => match sharded {
-                    Some(spec) => delta_temporal_sharded_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        spec,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                    None => delta_temporal_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        &mut scratches[0],
-                    ),
-                },
-                Granularity::CoarseGrained => delta_temporal_parallel_with_scratch(
-                    graph,
-                    roots,
-                    floor,
-                    &opts,
-                    predicate,
-                    sink,
-                    engine.pool(),
-                    scratches,
-                ),
-                Granularity::FineGrained => match query.sched {
-                    SchedStrategy::Stealing => delta_temporal_fine_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                    SchedStrategy::Assisting => delta_temporal_assist_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                },
-            }
-        }
     }
 }
 
@@ -987,21 +854,15 @@ impl SharedPass {
         Some(pass)
     }
 
-    /// The pass as a standing query, for the shared [`run_delta`] dispatcher.
-    /// The `shards` field is a placeholder: the multi engine's shard layout
-    /// lives on the engine itself, and is handed to [`run_delta`] separately.
-    fn as_query(&self, granularity: Granularity, sched: SchedStrategy) -> StreamingQuery {
-        StreamingQuery {
-            kind: self.kind,
-            granularity,
-            sched,
-            window_delta: self.delta,
-            max_len: self.max_len,
-            include_self_loops: self.include_self_loops,
-            collect: CollectMode::Collect,
-            predicate: self.predicate.clone(),
-            shards: ShardSpec::single(),
-        }
+    /// The delta plan of the one shared run.
+    fn into_plan(self) -> DeltaPlan {
+        delta_plan(
+            self.kind,
+            self.delta,
+            self.max_len,
+            self.include_self_loops,
+            self.predicate,
+        )
     }
 }
 
@@ -1843,8 +1704,9 @@ pub struct MultiBatchReport {
     pub expired: usize,
     /// Edges inside the window after the ingest.
     pub live_edges: usize,
-    /// The live window after the ingest.
-    pub window: TimeWindow,
+    /// The live window after the ingest; `None` until the first edge sets a
+    /// watermark.
+    pub window: Option<TimeWindow>,
     /// Wall-clock seconds of the one shared append/expiry pass.
     pub ingest_secs: f64,
     /// Wall-clock seconds of the one shared delta enumeration + fan-out.
@@ -2313,7 +2175,7 @@ impl MultiStreamingEngine {
         let t0 = Instant::now();
         let pool = (self.engine.threads() > 1 && !self.graph.shard_spec().is_single())
             .then(|| self.engine.pool().as_ref());
-        let delta = self.graph.append_batch_on(batch, pool)?;
+        let ingested = self.graph.append_batch_on(batch, pool)?;
         let ingest_secs = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
@@ -2330,43 +2192,24 @@ impl MultiStreamingEngine {
                     // on the fan-out re-checks alone.
                     pass.predicate = CyclePredicate::pass_all();
                 }
-                let granularity = self.effective_granularity(delta.roots.len());
-                // Sequential-granularity engines with a sharded graph run
-                // the shared pass shard-parallel (see `StreamingEngine::
-                // ingest` — the same engagement rule applies here, keyed on
-                // the engine-wide granularity).
-                let sharded = (self.granularity == Granularity::Sequential
-                    && self.engine.threads() > 1
-                    && !self.graph.shard_spec().is_single()
-                    && !delta.roots.is_empty())
-                .then(|| self.graph.shard_spec());
-                let want = if sharded.is_some() {
-                    self.engine.threads()
-                } else if granularity == Granularity::Sequential {
-                    1
-                } else {
-                    self.engine.threads()
-                };
-                if self.scratches.len() < want {
-                    self.scratches.resize_with(want, || RootScratch::new(0));
-                }
-                for scratch in &mut self.scratches {
-                    scratch.ensure_vertices(self.graph.num_vertices());
-                }
-                let pass_query = pass.as_query(granularity, self.sched);
+                let plan = pass.into_plan();
+                let schedule = schedule_for(
+                    &self.engine,
+                    self.granularity,
+                    self.sched,
+                    self.graph.shard_spec(),
+                    ingested.roots.len(),
+                );
                 match self.strategy {
                     FanOutStrategy::Naive => {
                         let sink = FanOutSink::new(&self.graph, &self.subs);
-                        let stats = run_delta(
-                            &pass_query,
-                            &self.engine,
+                        let stats = delta::run(
+                            &plan,
+                            schedule,
                             &self.graph,
-                            &mut self.scratches,
+                            ingested.roots.clone(),
                             &sink,
-                            delta.roots.clone(),
-                            Timestamp::MIN,
-                            granularity,
-                            sharded,
+                            &mut self.scratches,
                         );
                         let candidates = sink.candidates.load(Ordering::Relaxed);
                         // Resolve ids to concrete edges *now*: dense ids are
@@ -2407,16 +2250,13 @@ impl MultiStreamingEngine {
                             if deferred {
                                 let sink =
                                     BufferingFanOutSink::new(&self.graph, self.engine.threads());
-                                let stats = run_delta(
-                                    &pass_query,
-                                    &self.engine,
+                                let stats = delta::run(
+                                    &plan,
+                                    schedule,
                                     &self.graph,
-                                    &mut self.scratches,
+                                    ingested.roots.clone(),
                                     &sink,
-                                    delta.roots.clone(),
-                                    Timestamp::MIN,
-                                    granularity,
-                                    sharded,
+                                    &mut self.scratches,
                                 );
                                 let buffered = sink.into_candidates();
                                 let t_fan = Instant::now();
@@ -2443,16 +2283,13 @@ impl MultiStreamingEngine {
                                     counters: &counters,
                                     candidates: AtomicU64::new(0),
                                 };
-                                let stats = run_delta(
-                                    &pass_query,
-                                    &self.engine,
+                                let stats = delta::run(
+                                    &plan,
+                                    schedule,
                                     &self.graph,
-                                    &mut self.scratches,
+                                    ingested.roots.clone(),
                                     &sink,
-                                    delta.roots.clone(),
-                                    Timestamp::MIN,
-                                    granularity,
-                                    sharded,
+                                    &mut self.scratches,
                                 );
                                 let candidates = sink.candidates.load(Ordering::Relaxed);
                                 (
@@ -2551,10 +2388,10 @@ impl MultiStreamingEngine {
             reports.push(BatchReport {
                 query: sub.id,
                 batch: self.batches,
-                appended: delta.appended,
-                expired: delta.expired,
+                appended: ingested.appended,
+                expired: ingested.expired,
                 live_edges,
-                window: delta.window,
+                window: ingested.window,
                 cycles_found,
                 cycles,
                 ingest_secs,
@@ -2565,10 +2402,10 @@ impl MultiStreamingEngine {
 
         let report = MultiBatchReport {
             batch: self.batches,
-            appended: delta.appended,
-            expired: delta.expired,
+            appended: ingested.appended,
+            expired: ingested.expired,
             live_edges,
-            window: delta.window,
+            window: ingested.window,
             ingest_secs,
             enumerate_secs,
             candidates,
@@ -2578,18 +2415,6 @@ impl MultiStreamingEngine {
         };
         self.batches += 1;
         Ok(report)
-    }
-
-    /// Mirrors [`StreamingEngine::effective_granularity`] for the shared
-    /// pass.
-    fn effective_granularity(&self, batch_roots: usize) -> Granularity {
-        if self.engine.threads() <= 1 || batch_roots == 0 {
-            return Granularity::Sequential;
-        }
-        match self.granularity {
-            Granularity::CoarseGrained if batch_roots <= 1 => Granularity::Sequential,
-            requested => requested,
-        }
     }
 }
 
@@ -2610,6 +2435,24 @@ mod tests {
         label: Label,
     ) -> TemporalEdge {
         TemporalEdge::with_attrs(src, dst, ts, amount, label)
+    }
+
+    #[test]
+    fn window_is_none_until_the_first_watermark() {
+        let query = StreamingQuery::simple(10);
+        let mut engine = StreamingEngine::with_threads(100, query.clone(), 1).unwrap();
+        assert_eq!(engine.ingest(&[]).unwrap().window, None);
+        let report = engine.ingest(&[e(0, 1, 50)]).unwrap();
+        assert_eq!(report.window, Some(TimeWindow::new(-50, 50)));
+
+        let mut multi = MultiStreamingEngine::with_threads(100, 1).unwrap();
+        multi.subscribe(query).unwrap();
+        let report = multi.ingest(&[]).unwrap();
+        assert_eq!(report.window, None);
+        assert_eq!(report.reports[0].window, None);
+        let report = multi.ingest(&[e(0, 1, 50)]).unwrap();
+        assert_eq!(report.window, Some(TimeWindow::new(-50, 50)));
+        assert_eq!(report.reports[0].window, report.window);
     }
 
     #[test]

@@ -218,10 +218,9 @@ pub struct DeltaBatch {
     /// dst)` order. Valid until the next append (compaction re-bases ids).
     pub roots: Range<EdgeId>,
     /// The live window `[watermark - retention : watermark]` after the
-    /// append. For an empty batch on a never-ingested graph (no watermark
-    /// yet) this is the canonical empty window `[0 : -1]`, which contains no
-    /// timestamp — see [`SlidingWindowGraph::window`].
-    pub window: TimeWindow,
+    /// append; `None` while the graph has no watermark yet (an empty batch on
+    /// a never-ingested graph) — see [`SlidingWindowGraph::window`].
+    pub window: Option<TimeWindow>,
     /// Number of edges appended by this batch.
     pub appended: usize,
     /// Number of edges that expired out of the window during this append
@@ -423,8 +422,7 @@ impl SlidingWindowGraph {
             let at = self.edges.len() as EdgeId;
             return Ok(DeltaBatch {
                 roots: at..at,
-                // No watermark yet → the canonical empty window.
-                window: self.window().unwrap_or(TimeWindow::new(0, -1)),
+                window: self.window(),
                 appended: 0,
                 expired: 0,
             });
@@ -485,7 +483,7 @@ impl SlidingWindowGraph {
 
         Ok(DeltaBatch {
             roots: first_id as EdgeId..self.edges.len() as EdgeId,
-            window: self.window().expect("batch was non-empty"),
+            window: self.window(),
             appended: sorted.len(),
             expired: newly_expired,
         })
@@ -636,7 +634,7 @@ mod tests {
         assert_eq!(g.live_edges().len(), 2);
         let b = g.append_batch(&edges(&[(1, 2, 12)])).unwrap();
         // Window is now [2 : 12]: the t=0 edge expired, t=5 survives.
-        assert_eq!(b.window, TimeWindow::new(2, 12));
+        assert_eq!(b.window, Some(TimeWindow::new(2, 12)));
         assert_eq!(b.expired, 1);
         assert_eq!(g.live_edges(), &edges(&[(1, 0, 5), (1, 2, 12)])[..]);
         assert_eq!(g.total_expired(), 1);
@@ -753,7 +751,7 @@ mod tests {
         let mut g = SlidingWindowGraph::new(10);
         g.append_batch(&edges(&[(0, 1, 39), (1, 2, 40)])).unwrap();
         let b = g.append_batch(&edges(&[(2, 0, 50)])).unwrap();
-        assert_eq!(b.window, TimeWindow::new(40, 50));
+        assert_eq!(b.window, Some(TimeWindow::new(40, 50)));
         assert_eq!(b.expired, 1, "ts=39 is exactly one tick below the boundary");
         assert_eq!(g.live_edges(), &edges(&[(1, 2, 40), (2, 0, 50)])[..]);
         // A new batch at exactly the boundary timestamp is accepted and live.
@@ -843,9 +841,10 @@ mod tests {
         g.append_batch(&[]).unwrap();
         assert_eq!(g.window(), None, "an empty batch ingests nothing");
         let b = g.append_batch(&[]).unwrap();
-        assert!(b.window.is_empty(), "empty-window placeholder in the delta");
-        g.append_batch(&edges(&[(0, 1, 5)])).unwrap();
+        assert_eq!(b.window, None, "no window before the first watermark");
+        let b = g.append_batch(&edges(&[(0, 1, 5)])).unwrap();
         assert_eq!(g.window(), Some(TimeWindow::new(-5, 5)));
+        assert_eq!(b.window, g.window());
     }
 
     /// A vertex-churning stream that exercises growth, expiry and compaction.
