@@ -860,7 +860,9 @@ fn run_sharded<G: GraphView + ?Sized, S: CycleSink>(
 /// closing-time bounds) is read-only, so a task only needs private copies of
 /// the path buffers — the same property that makes the one-shot temporal
 /// searches decomposable in [`crate::par::fine_temporal`], applied to the
-/// backward, max-edge-rooted search.
+/// backward, max-edge-rooted search. Unlike the one-shot driver, which copies
+/// only when it splits work off for an idle worker, every recursion level
+/// here is still spawned as its own task with its own copies.
 struct FineDeltaTask {
     /// The root (maximum) edge; simple-mode path edges must stay below it.
     root: EdgeId,

@@ -252,8 +252,8 @@ impl Query {
     /// Selects the algorithm.
     ///
     /// For **temporal** queries the algorithm choice only exists at
-    /// [`Granularity::FineGrained`], where it selects the task-spawning
-    /// discipline (§7 of the paper). At `Sequential` and `CoarseGrained`
+    /// [`Granularity::FineGrained`], where it selects the search discipline
+    /// (§7 of the paper). At `Sequential` and `CoarseGrained`
     /// granularity there is a single temporal search (a Johnson-style rooted
     /// DFS); requesting `ReadTarjan` there is accepted and runs that one
     /// implementation, which the result reports honestly as

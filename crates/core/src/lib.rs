@@ -10,7 +10,7 @@
 //! | Tiernan (brute force) | [`seq::tiernan`] | — | — |
 //! | Johnson | [`seq::johnson`] | [`par::coarse`] | [`par::fine_johnson`] |
 //! | Read-Tarjan | [`seq::read_tarjan`] | [`par::coarse`] | [`par::fine_read_tarjan`] |
-//! | Temporal (2SCENT-style) | [`seq::temporal`] | [`par::coarse`] | [`par::fine_temporal`] |
+//! | Temporal (2SCENT-style) | [`seq::temporal`] | [`par::coarse`] | [`par::fine_temporal`] (in-place search, branches split off on demand for idle workers) |
 //! | Delta (max-edge-rooted, streaming; [`delta::run`]) | [`delta::Schedule::Sequential`] / [`delta::Schedule::Sharded`] | [`delta::Schedule::PerRoot`] | [`delta::Schedule::Fine`] |
 //! | Multi-query subscriptions (one shared delta pass, per-query fan-out) | [`MultiStreamingEngine`] at [`Granularity::Sequential`] | … at [`Granularity::CoarseGrained`] (default) | … at [`Granularity::FineGrained`] (via [`MultiStreamingEngine::with_granularity`]) |
 //!

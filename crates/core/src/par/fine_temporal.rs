@@ -2,178 +2,359 @@
 //!
 //! The temporal searches are built on the scalable per-root preprocessing
 //! (cycle-union + static closing times), which makes their per-call pruning
-//! state read-only; a recursive call therefore only needs a private copy of
-//! its path, and every call can be executed as an independent task — the
-//! temporal analogue of the fine-grained decomposition of §5/§6.
+//! state read-only: a recursive call only needs its path, so any unexplored
+//! branch can run as an independent task that carries a private copy of the
+//! path prefix — the temporal analogue of the fine-grained decomposition of
+//! §5/§6.
 //!
-//! Two task-spawning disciplines are provided, mirroring the two algorithm
-//! families the paper evaluates on temporal graphs:
+//! Tasks are split off **on demand** (copy-on-steal). The worker that claims
+//! a root runs the rooted search in place, depth-first, on its own reusable
+//! buffers and an explicit frame stack — one frame per recursion level,
+//! holding the level's not yet scanned out-edges — so a recursive call
+//! allocates nothing and spawns nothing. Before each descent the worker asks
+//! the pool whether a worker is idle ([`WorkerCtx::idle_workers`]) that no
+//! earlier split is still waiting for. Only then does it split: the first
+//! half of the shallowest frame's unscanned edges (the largest unexplored
+//! subtrees) goes to one new task with a copy of the path prefix, and the
+//! worker that runs it recomputes the root's union in its own workspace. A
+//! lone busy worker never copies; a worker that falls idle is handed work at
+//! the busy worker's next descent.
 //!
-//! * [`fine_temporal_johnson`] — a child task is spawned for every admissible
-//!   branch (the Johnson-style decomposition: claim first, discover dead ends
-//!   as you go).
-//! * [`fine_temporal_read_tarjan`] — before spawning a child for a branch, a
+//! Two disciplines are provided, mirroring the two algorithm families the
+//! paper evaluates on temporal graphs:
+//!
+//! * [`fine_temporal_johnson`] — descend into every admissible branch (the
+//!   Johnson-style decomposition: claim first, discover dead ends as you go).
+//!   Edge visits, recursive calls and roots equal the sequential search's.
+//! * [`fine_temporal_read_tarjan`] — before descending into a branch, a
 //!   depth-first probe verifies that the branch can still be completed into a
 //!   cycle (the Read-Tarjan-style "path extension must exist" discipline).
 //!   This performs more edge visits — the paper reports ~47% more for the
-//!   Read-Tarjan family — but never schedules a task that cannot produce a
+//!   Read-Tarjan family — but never explores a branch that cannot produce a
 //!   cycle.
 
 use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::TemporalCycleOptions;
 use crate::seq::RootScratch;
-use crate::union::{UnionQuery, UnionView};
-use crate::util::{fx_set, FxHashSet};
+use crate::util::FxHashSet;
 use crate::{Algorithm, Granularity};
-use pce_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp, VertexId};
+use parking_lot::Mutex;
+use pce_graph::reach::CycleUnionWorkspace;
+use pce_graph::{AdjEntry, EdgeId, TemporalGraph, TimeWindow, Timestamp, VertexId};
 use pce_sched::{DynamicCounter, Scope, ThreadPool, WorkerCtx};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Which fine-grained spawning discipline to use.
+/// Which fine-grained discipline to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TemporalStyle {
-    /// Spawn a task per admissible branch (Johnson-style).
+    /// Descend into every admissible branch (Johnson-style).
     Johnson,
-    /// Probe for a feasible completion before spawning (Read-Tarjan-style).
+    /// Probe for a feasible completion before descending (Read-Tarjan-style).
     ReadTarjan,
 }
 
-struct FineTemporalShared<'a, S> {
-    graph: &'a TemporalGraph,
-    sink: &'a HaltingSink<'a, S>,
-    metrics: &'a WorkMetrics,
-    opts: &'a TemporalCycleOptions,
+struct Shared<'g, S> {
+    graph: &'g TemporalGraph,
+    sink: &'g HaltingSink<'g, S>,
+    metrics: &'g WorkMetrics,
+    opts: &'g TemporalCycleOptions,
     style: TemporalStyle,
+    /// Split tasks spawned but not started yet: an idle worker is only worth
+    /// a new split while no earlier one is waiting for it.
+    waiting: AtomicUsize,
+    /// One search state per worker. A worker runs one task at a time, so its
+    /// slot is never contended.
+    workers: Vec<Mutex<WorkerState<'g>>>,
 }
 
-/// One task: extend the given temporal path from its last vertex.
-struct TemporalTask {
-    root: EdgeId,
-    v0: VertexId,
-    t_end: Timestamp,
-    union: Arc<UnionView>,
+/// A worker's reusable search state.
+struct WorkerState<'g> {
+    buf: Buffers<'g>,
+    /// The cycle union of the root being searched.
+    scratch: RootScratch,
+}
+
+/// The path of the search a worker runs and one frame per recursion level.
+#[derive(Default)]
+struct Buffers<'g> {
+    /// Path length when the search was loaded: `frames[i]` extends a path of
+    /// `base + i` vertices.
+    base: usize,
+    /// The not yet scanned out-edges of each level, shallowest first.
+    frames: Vec<&'g [AdjEntry]>,
     path: Vec<VertexId>,
     path_edges: Vec<EdgeId>,
     on_path: FxHashSet<VertexId>,
-    arrival: Timestamp,
+    /// Read-Tarjan-style probe stack and its visited `(vertex, arrival)` set.
+    probe_stack: Vec<(VertexId, Timestamp)>,
+    probe_seen: FxHashSet<(VertexId, Timestamp)>,
 }
 
-/// Depth-first probe: does a temporal path from `start` (arriving at
-/// `arrival`) back to `v0` exist that avoids `on_path`? Uses the static
-/// closing-time bound for pruning; visited dead ends are memoised in a local
-/// set for the duration of the probe.
-#[allow(clippy::too_many_arguments)]
-fn has_completion<S: CycleSink>(
-    shared: &FineTemporalShared<'_, S>,
-    worker: usize,
-    union: &UnionView,
+impl<'g> Buffers<'g> {
+    /// Loads a search: the path so far and the unscanned out-edges of its tip.
+    fn load(&mut self, path: &[VertexId], path_edges: &[EdgeId], edges: &'g [AdjEntry]) {
+        self.base = path.len();
+        self.frames.clear();
+        self.frames.push(edges);
+        self.path.clear();
+        self.path.extend_from_slice(path);
+        self.path_edges.clear();
+        self.path_edges.extend_from_slice(path_edges);
+        self.on_path.clear();
+        self.on_path.extend(path.iter().copied());
+    }
+}
+
+/// The read-only facts of one rooted search.
+struct Rooted<'u> {
+    root: EdgeId,
     v0: VertexId,
     t_end: Timestamp,
-    on_path: &FxHashSet<VertexId>,
-    start: VertexId,
-    arrival: Timestamp,
-) -> bool {
-    let mut stack: Vec<(VertexId, Timestamp)> = vec![(start, arrival)];
-    let mut seen: FxHashSet<(VertexId, Timestamp)> = fx_set();
-    seen.insert((start, arrival));
-    while let Some((v, t)) = stack.pop() {
-        let window = TimeWindow::new(t.saturating_add(1), t_end);
-        for &entry in shared.graph.out_edges_in_window(v, window) {
-            shared.metrics.edge_visit(worker);
-            let w = entry.neighbor;
-            if w == v0 {
-                return true;
-            }
-            if on_path.contains(&w) || !union.in_union(w) || !union.can_close_after(w, entry.ts) {
-                continue;
-            }
-            if seen.insert((w, entry.ts)) {
-                stack.push((w, entry.ts));
-            }
-        }
-    }
-    false
+    union: &'u CycleUnionWorkspace,
 }
 
-fn execute_task<'scope, S: CycleSink>(
-    shared: &'scope FineTemporalShared<'scope, S>,
-    task: TemporalTask,
-    scope: &Scope<'scope>,
-    ctx: &WorkerCtx<'_>,
-) {
-    // A task scheduled after the sink stopped the run returns immediately
-    // (and spawns nothing), so the scope drains quickly without deadlock.
-    if shared.sink.stopped() {
-        return;
-    }
-    let worker = ctx.worker_id();
-    let start = Instant::now();
-    shared.metrics.recursive_call(worker);
-    let v = *task.path.last().expect("path never empty");
-    let window = TimeWindow::new(task.arrival.saturating_add(1), task.t_end);
-    for &entry in shared.graph.out_edges_in_window(v, window) {
-        if shared.sink.stopped() {
-            break;
-        }
-        shared.metrics.edge_visit(worker);
-        let w = entry.neighbor;
-        if w == task.v0 {
-            if shared.opts.len_ok(task.path_edges.len() + 1) {
-                let mut edges = task.path_edges.clone();
-                edges.push(entry.edge);
-                shared.sink.push(&task.path, &edges);
+/// Unscanned edges of one frame of a rooted search, split off for an idle
+/// worker together with a copy of the path up to that frame.
+struct Split<'g> {
+    root: EdgeId,
+    path: Vec<VertexId>,
+    path_edges: Vec<EdgeId>,
+    edges: &'g [AdjEntry],
+    /// Worker that split it off; running it elsewhere is a steal.
+    spawned_by: usize,
+}
+
+impl<'g, S: CycleSink> Shared<'g, S> {
+    /// Claims roots until none are left and runs each rooted search in place
+    /// on this worker's state.
+    fn claim_roots<'scope>(
+        &'scope self,
+        counter: &DynamicCounter,
+        scope: &Scope<'scope>,
+        ctx: &WorkerCtx<'_>,
+    ) {
+        let worker = ctx.worker_id();
+        let graph = self.graph;
+        let mut state = self.workers[worker].lock();
+        let WorkerState { buf, scratch } = &mut *state;
+        while let Some(root) = counter.next() {
+            if self.sink.stopped() {
+                break;
             }
-            continue;
-        }
-        if task.on_path.contains(&w)
-            || !task.union.in_union(w)
-            || !task.union.can_close_after(w, entry.ts)
-            || !shared.opts.len_ok(task.path_edges.len() + 2)
-        {
-            continue;
-        }
-        if shared.style == TemporalStyle::ReadTarjan {
-            // Read-Tarjan discipline: only descend when a completion exists.
-            let mut probe_avoid = task.on_path.clone();
-            probe_avoid.insert(w);
-            if !has_completion(
-                shared,
-                worker,
-                &task.union,
-                task.v0,
-                task.t_end,
-                &probe_avoid,
-                w,
-                entry.ts,
-            ) {
+            let root = root as EdgeId;
+            let e0 = graph.edge(root);
+            if e0.src == e0.dst {
                 continue;
             }
+            // Counted before the union pass, as the sequential search does.
+            self.metrics.root_processed(worker);
+            let start = Instant::now();
+            if scratch
+                .union
+                .compute_temporal(graph, root, self.opts.window_delta)
+            {
+                let rooted = self.rooted(root, &scratch.union);
+                let window = TimeWindow::new(e0.ts.saturating_add(1), rooted.t_end);
+                buf.load(
+                    &[e0.src, e0.dst],
+                    &[root],
+                    graph.out_edges_in_window(e0.dst, window),
+                );
+                self.metrics.recursive_call(worker);
+                self.search(buf, &rooted, scope, ctx);
+            }
+            self.metrics.add_busy(worker, start.elapsed());
         }
-        // Spawn the child call as an independent task with its own copies.
-        shared.metrics.copy_event(worker);
-        let mut child_path = task.path.clone();
-        let mut child_edges = task.path_edges.clone();
-        let mut child_on_path = task.on_path.clone();
-        child_path.push(w);
-        child_edges.push(entry.edge);
-        child_on_path.insert(w);
-        let child = TemporalTask {
-            root: task.root,
-            v0: task.v0,
-            t_end: task.t_end,
-            union: Arc::clone(&task.union),
-            path: child_path,
-            path_edges: child_edges,
-            on_path: child_on_path,
-            arrival: entry.ts,
-        };
-        ctx.spawn(scope, move |scope, ctx| {
-            execute_task(shared, child, scope, ctx);
-        });
     }
-    shared.metrics.add_busy(worker, start.elapsed());
+
+    /// Runs a split-off part of a rooted search to completion. The worker
+    /// recomputes the root's union in its own workspace: one union pass per
+    /// split, where the searcher itself would pay a hash lookup per edge on a
+    /// shared snapshot.
+    fn run_split<'scope>(
+        &'scope self,
+        task: Split<'g>,
+        scope: &Scope<'scope>,
+        ctx: &WorkerCtx<'_>,
+    ) {
+        self.waiting.fetch_sub(1, Ordering::Relaxed);
+        // A task scheduled after the sink stopped the run returns immediately
+        // (and splits nothing), so the scope drains quickly.
+        if self.sink.stopped() {
+            return;
+        }
+        let worker = ctx.worker_id();
+        if worker != task.spawned_by {
+            // The pool's deques moved the task; record the steal where it runs.
+            self.metrics.steal_event(worker);
+        }
+        let start = Instant::now();
+        let mut state = self.workers[worker].lock();
+        let WorkerState { buf, scratch } = &mut *state;
+        let nonempty =
+            scratch
+                .union
+                .compute_temporal(self.graph, task.root, self.opts.window_delta);
+        debug_assert!(nonempty, "a split root has a non-empty union");
+        buf.load(&task.path, &task.path_edges, task.edges);
+        self.search(buf, &self.rooted(task.root, &scratch.union), scope, ctx);
+        drop(state);
+        self.metrics.add_busy(worker, start.elapsed());
+    }
+
+    fn rooted<'u>(&self, root: EdgeId, union: &'u CycleUnionWorkspace) -> Rooted<'u> {
+        let e0 = self.graph.edge(root);
+        Rooted {
+            root,
+            v0: e0.src,
+            t_end: e0.ts.saturating_add(self.opts.window_delta),
+            union,
+        }
+    }
+
+    /// Depth-first search over the frames loaded in `buf`, in the sequential
+    /// order; splits work off for idle workers before descending. Winds down
+    /// early once the sink stops the run.
+    fn search<'scope>(
+        &'scope self,
+        buf: &mut Buffers<'g>,
+        rooted: &Rooted<'_>,
+        scope: &Scope<'scope>,
+        ctx: &WorkerCtx<'_>,
+    ) {
+        let worker = ctx.worker_id();
+        let (graph, union) = (self.graph, rooted.union);
+        while let Some(frame) = buf.frames.last_mut() {
+            let edges = *frame;
+            let Some((&entry, rest)) = edges.split_first() else {
+                buf.frames.pop();
+                if !buf.frames.is_empty() {
+                    // Backtrack over the exhausted level's vertex.
+                    let v = buf
+                        .path
+                        .pop()
+                        .expect("a deeper frame has its vertex on the path");
+                    buf.path_edges.pop();
+                    buf.on_path.remove(&v);
+                }
+                continue;
+            };
+            *frame = rest;
+            if self.sink.stopped() {
+                return;
+            }
+            self.metrics.edge_visit(worker);
+            let w = entry.neighbor;
+            if w == rooted.v0 {
+                if self.opts.len_ok(buf.path_edges.len() + 1) {
+                    buf.path_edges.push(entry.edge);
+                    self.sink.push(&buf.path, &buf.path_edges);
+                    buf.path_edges.pop();
+                }
+                continue;
+            }
+            if buf.on_path.contains(&w)
+                || !union.in_union(w)
+                || !union.can_close_after(w, entry.ts)
+                || !self.opts.len_ok(buf.path_edges.len() + 2)
+            {
+                continue;
+            }
+            buf.on_path.insert(w);
+            if self.style == TemporalStyle::ReadTarjan
+                && !self.has_completion(buf, worker, rooted, w, entry.ts)
+            {
+                buf.on_path.remove(&w);
+                continue;
+            }
+            let idle = ctx.idle_workers();
+            if idle > 0 && idle > self.waiting.load(Ordering::Relaxed) {
+                self.split(buf, rooted.root, scope, ctx);
+            }
+            self.metrics.recursive_call(worker);
+            buf.path.push(w);
+            buf.path_edges.push(entry.edge);
+            let window = TimeWindow::new(entry.ts.saturating_add(1), rooted.t_end);
+            buf.frames.push(graph.out_edges_in_window(w, window));
+        }
+    }
+
+    /// Hands the first half of the shallowest frame that still has unscanned
+    /// edges to a new task. Shallow frames hold the largest subtrees, and
+    /// within a frame the earliest edges leave the most of the window to
+    /// extend in.
+    fn split<'scope>(
+        &'scope self,
+        buf: &mut Buffers<'g>,
+        root: EdgeId,
+        scope: &Scope<'scope>,
+        ctx: &WorkerCtx<'_>,
+    ) {
+        let Some(depth) = buf.frames.iter().position(|f| !f.is_empty()) else {
+            return;
+        };
+        let frame = buf.frames[depth];
+        let (give, keep) = frame.split_at(frame.len().div_ceil(2));
+        buf.frames[depth] = keep;
+        let prefix = buf.base + depth;
+        let worker = ctx.worker_id();
+        self.metrics.copy_event(worker);
+        self.waiting.fetch_add(1, Ordering::Relaxed);
+        let task = Split {
+            root,
+            path: buf.path[..prefix].to_vec(),
+            path_edges: buf.path_edges[..prefix - 1].to_vec(),
+            edges: give,
+            spawned_by: worker,
+        };
+        ctx.spawn(scope, move |scope, ctx| self.run_split(task, scope, ctx));
+    }
+
+    /// Depth-first probe: does a temporal path from `start` (reached at
+    /// `arrival` and already on the path) back to the root tail exist that
+    /// avoids the path? Uses the static closing-time bound for pruning;
+    /// visited dead ends are memoised for the duration of the probe.
+    fn has_completion(
+        &self,
+        buf: &mut Buffers<'g>,
+        worker: usize,
+        rooted: &Rooted<'_>,
+        start: VertexId,
+        arrival: Timestamp,
+    ) -> bool {
+        let Buffers {
+            on_path,
+            probe_stack: stack,
+            probe_seen: seen,
+            ..
+        } = buf;
+        stack.clear();
+        seen.clear();
+        stack.push((start, arrival));
+        seen.insert((start, arrival));
+        while let Some((v, t)) = stack.pop() {
+            let window = TimeWindow::new(t.saturating_add(1), rooted.t_end);
+            for &entry in self.graph.out_edges_in_window(v, window) {
+                self.metrics.edge_visit(worker);
+                let w = entry.neighbor;
+                if w == rooted.v0 {
+                    return true;
+                }
+                if on_path.contains(&w)
+                    || !rooted.union.in_union(w)
+                    || !rooted.union.can_close_after(w, entry.ts)
+                {
+                    continue;
+                }
+                if seen.insert((w, entry.ts)) {
+                    stack.push((w, entry.ts));
+                }
+            }
+        }
+        false
+    }
 }
 
 fn run_fine_temporal<S: CycleSink>(
@@ -188,57 +369,28 @@ fn run_fine_temporal<S: CycleSink>(
     let start = Instant::now();
     let counter = DynamicCounter::new(graph.num_edges(), 1);
     let sink = HaltingSink::new(sink);
-    let shared = FineTemporalShared {
+    let shared = Shared {
         graph,
         sink: &sink,
         metrics: &metrics,
         opts,
         style,
+        waiting: AtomicUsize::new(0),
+        workers: (0..threads)
+            .map(|_| {
+                Mutex::new(WorkerState {
+                    buf: Buffers::default(),
+                    scratch: RootScratch::new(graph.num_vertices()),
+                })
+            })
+            .collect(),
     };
 
     pool.scope(|scope| {
         for _ in 0..threads {
             let counter = &counter;
             let shared = &shared;
-            scope.spawn(move |scope, ctx| {
-                let worker = ctx.worker_id();
-                let mut scratch = RootScratch::new(shared.graph.num_vertices());
-                while let Some(root) = counter.next() {
-                    if shared.sink.stopped() {
-                        break;
-                    }
-                    let root = root as EdgeId;
-                    let e0 = shared.graph.edge(root);
-                    if e0.src == e0.dst {
-                        continue;
-                    }
-                    let prep = Instant::now();
-                    if !scratch
-                        .union
-                        .compute_temporal(shared.graph, root, shared.opts.window_delta)
-                    {
-                        shared.metrics.add_busy(worker, prep.elapsed());
-                        continue;
-                    }
-                    shared.metrics.root_processed(worker);
-                    let union = Arc::new(UnionView::from_temporal(&scratch.union));
-                    shared.metrics.add_busy(worker, prep.elapsed());
-                    let mut on_path = fx_set();
-                    on_path.insert(e0.src);
-                    on_path.insert(e0.dst);
-                    let task = TemporalTask {
-                        root,
-                        v0: e0.src,
-                        t_end: e0.ts.saturating_add(shared.opts.window_delta),
-                        union,
-                        path: vec![e0.src, e0.dst],
-                        path_edges: vec![root],
-                        on_path,
-                        arrival: e0.ts,
-                    };
-                    execute_task(shared, task, scope, ctx);
-                }
-            });
+            scope.spawn(move |scope, ctx| shared.claim_roots(counter, scope, ctx));
         }
     });
 
@@ -256,7 +408,7 @@ fn run_fine_temporal<S: CycleSink>(
     .tagged(algorithm, Granularity::FineGrained)
 }
 
-/// Fine-grained parallel temporal-cycle enumeration, Johnson-style task
+/// Fine-grained parallel temporal-cycle enumeration, Johnson-style
 /// decomposition.
 pub fn fine_temporal_johnson<S: CycleSink>(
     graph: &TemporalGraph,
@@ -267,7 +419,7 @@ pub fn fine_temporal_johnson<S: CycleSink>(
     run_fine_temporal(graph, opts, sink, pool, TemporalStyle::Johnson)
 }
 
-/// Fine-grained parallel temporal-cycle enumeration, Read-Tarjan-style task
+/// Fine-grained parallel temporal-cycle enumeration, Read-Tarjan-style
 /// decomposition (probe before descending).
 pub fn fine_temporal_read_tarjan<S: CycleSink>(
     graph: &TemporalGraph,
@@ -281,40 +433,144 @@ pub fn fine_temporal_read_tarjan<S: CycleSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cycle::{CollectingSink, CountingSink};
+    use crate::cycle::{CollectingSink, CountingSink, FirstKSink};
     use crate::seq::temporal::temporal_simple;
     use pce_graph::generators::{self, RandomTemporalConfig, TransactionRingConfig};
 
-    #[test]
-    fn johnson_style_matches_sequential() {
-        let g = generators::uniform_temporal(RandomTemporalConfig {
+    const STYLES: [TemporalStyle; 2] = [TemporalStyle::Johnson, TemporalStyle::ReadTarjan];
+
+    /// The graphs of the differential table, each with its window.
+    fn cases() -> Vec<(&'static str, TemporalGraph, TemporalCycleOptions)> {
+        let uniform = generators::uniform_temporal(RandomTemporalConfig {
             num_vertices: 25,
             num_edges: 160,
             time_span: 90,
             seed: 31,
         });
-        let opts = TemporalCycleOptions::with_window(40);
-        let seq = CollectingSink::new();
-        temporal_simple(&g, &opts, &seq);
-        let par = CollectingSink::new();
-        fine_temporal_johnson(&g, &opts, &par, &ThreadPool::new(4));
-        assert_eq!(seq.canonical_cycles(), par.canonical_cycles());
-    }
-
-    #[test]
-    fn read_tarjan_style_matches_sequential() {
-        let g = generators::power_law_temporal(RandomTemporalConfig {
+        let power_law = generators::power_law_temporal(RandomTemporalConfig {
             num_vertices: 40,
             num_edges: 220,
             time_span: 100,
             seed: 32,
         });
-        let opts = TemporalCycleOptions::with_window(50);
-        let seq = CollectingSink::new();
-        temporal_simple(&g, &opts, &seq);
-        let par = CollectingSink::new();
-        fine_temporal_read_tarjan(&g, &opts, &par, &ThreadPool::new(4));
-        assert_eq!(seq.canonical_cycles(), par.canonical_cycles());
+        let (rings, _) = generators::transaction_rings(TransactionRingConfig {
+            num_accounts: 150,
+            background_edges: 400,
+            num_rings: 10,
+            ring_len: (3, 5),
+            time_span: 500_000,
+            ring_span: 3_000,
+            seed: 34,
+        });
+        let fig4a = generators::fig4a_exponential_cycles(16);
+        let fig4a_window = TemporalCycleOptions::with_window(fig4a.time_span());
+        vec![
+            ("uniform", uniform, TemporalCycleOptions::with_window(40)),
+            (
+                "power_law",
+                power_law,
+                TemporalCycleOptions::with_window(50),
+            ),
+            ("rings", rings, TemporalCycleOptions::with_window(3_000)),
+            ("fig4a", fig4a, fig4a_window),
+        ]
+    }
+
+    #[test]
+    fn differential_table_against_sequential() {
+        for (name, g, opts) in cases() {
+            let seq = CollectingSink::new();
+            let seq_work = temporal_simple(&g, &opts, &seq).work;
+            let expected = seq.canonical_cycles();
+            assert!(expected.len() >= 2, "{name}: too few cycles to test");
+            let seq_counters = (
+                seq_work.total_edge_visits(),
+                seq_work.total_recursive_calls(),
+                seq_work.total_roots(),
+            );
+            for style in STYLES {
+                let mut first_counters = None;
+                for threads in [1, 2, 4] {
+                    let label = format!("{name} {style:?} threads={threads}");
+                    let pool = ThreadPool::new(threads);
+                    let sink = CollectingSink::new();
+                    let work = run_fine_temporal(&g, &opts, &sink, &pool, style).work;
+                    assert_eq!(sink.canonical_cycles(), expected, "{label}");
+                    let counters = (
+                        work.total_edge_visits(),
+                        work.total_recursive_calls(),
+                        work.total_roots(),
+                    );
+                    assert_eq!(counters.2, seq_counters.2, "{label}: roots");
+                    match style {
+                        TemporalStyle::Johnson => assert_eq!(counters, seq_counters, "{label}"),
+                        TemporalStyle::ReadTarjan => {
+                            assert_eq!(*first_counters.get_or_insert(counters), counters, "{label}")
+                        }
+                    }
+                    if threads == 1 {
+                        // A 1-worker pool is never idle mid-run: nothing splits.
+                        assert_eq!(work.total_copies(), 0, "{label}");
+                        assert_eq!(work.total_steals(), 0, "{label}");
+                    } else {
+                        let k = expected.len() / 2;
+                        let first_k = FirstKSink::new(k);
+                        run_fine_temporal(&g, &opts, &first_k, &pool, style);
+                        let cycles = first_k.into_cycles();
+                        assert_eq!(cycles.len(), k, "{label}: first-k");
+                        for c in cycles {
+                            assert!(expected.contains(&c.canonicalize()), "{label}: first-k");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_root_search_is_split_on_demand() {
+        // Every cycle of Figure 4a hangs off the single root edge v0 → v1, so
+        // only splitting spreads the search. n = 20 makes the search outlast
+        // an OS time slice: at n = 16 it takes about a millisecond, and on a
+        // loaded test runner the other workers are often not scheduled
+        // before it ends. Deflaked like the fine Read-Tarjan spread test: on
+        // one core the spread check is skipped, on a multicore it gets a few
+        // attempts. The cycle count and the copy bound hold on every run.
+        let n = 20;
+        let g = generators::fig4a_exponential_cycles(n);
+        let opts = TemporalCycleOptions::with_window(g.time_span());
+        let single_core = pce_sched::available_parallelism() < 2;
+        let attempts = if single_core { 1 } else { 5 };
+        for style in STYLES {
+            for threads in [2, 4] {
+                let mut active = 0;
+                for attempt in 0..attempts {
+                    let label = format!("{style:?} threads={threads} attempt {attempt}");
+                    let pool = ThreadPool::new(threads);
+                    let sink = CountingSink::new();
+                    let work = run_fine_temporal(&g, &opts, &sink, &pool, style).work;
+                    assert_eq!(sink.count(), generators::fig4a_cycle_count(n), "{label}");
+                    let calls = work.total_recursive_calls();
+                    assert!(
+                        work.total_copies() <= calls / 4,
+                        "{label}: {} copies for {calls} calls",
+                        work.total_copies()
+                    );
+                    active = work
+                        .workers
+                        .iter()
+                        .filter(|w| w.recursive_calls > 0)
+                        .count();
+                    if active > 1 {
+                        break;
+                    }
+                }
+                assert!(
+                    active > 1 || single_core,
+                    "{style:?} threads={threads}: one worker ran every call in {attempts} runs"
+                );
+            }
+        }
     }
 
     #[test]
@@ -336,31 +592,6 @@ mod tests {
             stats_rt.work.total_edge_visits() >= stats_j.work.total_edge_visits(),
             "probing discipline should not visit fewer edges"
         );
-    }
-
-    #[test]
-    fn results_independent_of_thread_count() {
-        let (g, _) = generators::transaction_rings(TransactionRingConfig {
-            num_accounts: 150,
-            background_edges: 400,
-            num_rings: 10,
-            ring_len: (3, 5),
-            time_span: 500_000,
-            ring_span: 3_000,
-            seed: 34,
-        });
-        let opts = TemporalCycleOptions::with_window(3_000);
-        let reference = CollectingSink::new();
-        temporal_simple(&g, &opts, &reference);
-        for threads in [1, 2, 4, 8] {
-            let sink = CollectingSink::new();
-            fine_temporal_johnson(&g, &opts, &sink, &ThreadPool::new(threads));
-            assert_eq!(
-                reference.canonical_cycles(),
-                sink.canonical_cycles(),
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   path and blocked set. Both scalable and work efficient (Theorems
 //!   6.1/6.2).
 //! * [`fine_temporal`] — the temporal-cycle versions of the fine-grained
-//!   algorithms (§7), built on the scalable cycle-union preprocessing.
+//!   algorithms (§7), built on the scalable cycle-union preprocessing: the
+//!   owner of a root searches in place and copies a split-off branch range
+//!   only when the pool reports an idle worker (copy-on-demand).
 
 pub mod coarse;
 pub mod fine_johnson;

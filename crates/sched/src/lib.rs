@@ -12,7 +12,9 @@
 //!   global FIFO injector and a [`ThreadPool::scope`] API for submitting tasks
 //!   that borrow stack data. Tasks spawned from inside a task go to the
 //!   spawning worker's local deque (depth-first execution, breadth-first
-//!   stealing — the classic Cilk/TBB discipline).
+//!   stealing — the classic Cilk/TBB discipline). A running task can read
+//!   how many workers are idle ([`WorkerCtx::idle_workers`]) and split off
+//!   work only when one could take it.
 //! * [`StealRegistry`] — a registry of *splittable* work sources. The
 //!   fine-grained Johnson algorithm registers every active rooted search here;
 //!   idle workers pick a victim and try to split a branch off it

@@ -25,6 +25,10 @@ struct Shared {
     sleep_lock: Mutex<()>,
     wake: Condvar,
     shutdown: AtomicBool,
+    /// Workers currently without a job. Written only on a worker's
+    /// idle↔busy transitions, so busy workers can poll it cheaply. A hint
+    /// that publishes no other data, hence `Relaxed`.
+    idle: AtomicUsize,
 }
 
 impl Shared {
@@ -53,6 +57,15 @@ impl<'a> WorkerCtx<'a> {
     #[inline]
     pub fn num_threads(&self) -> usize {
         self.shared.stealers.len()
+    }
+
+    /// Number of workers of the pool that are currently looking for work.
+    /// A cheap hint for splittable searches: hand work off only when some
+    /// worker could take it. The count changes when a worker runs out of
+    /// jobs and when it picks one up again, so it can lag briefly behind.
+    #[inline]
+    pub fn idle_workers(&self) -> usize {
+        self.shared.idle.load(Ordering::Relaxed)
     }
 
     /// Spawns a task belonging to `scope` onto this worker's local deque.
@@ -225,6 +238,7 @@ impl ThreadPool {
             sleep_lock: Mutex::new(()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            idle: AtomicUsize::new(0),
         });
 
         let handles = workers
@@ -297,12 +311,17 @@ impl Drop for ThreadPool {
 fn worker_loop(index: usize, local: Worker<Job>, shared: Arc<Shared>) {
     let backoff_limit = 64u32;
     let mut idle_spins = 0u32;
+    let mut idle = false;
     loop {
         let (job, stolen) = match find_job(index, &local, &shared) {
             Some(pair) => pair,
             None => {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
+                }
+                if !idle {
+                    idle = true;
+                    shared.idle.fetch_add(1, Ordering::Relaxed);
                 }
                 idle_spins += 1;
                 if idle_spins < backoff_limit {
@@ -320,6 +339,10 @@ fn worker_loop(index: usize, local: Worker<Job>, shared: Arc<Shared>) {
             }
         };
         idle_spins = 0;
+        if idle {
+            idle = false;
+            shared.idle.fetch_sub(1, Ordering::Relaxed);
+        }
         let ctx = WorkerCtx {
             worker_id: index,
             local: &local,
@@ -541,6 +564,37 @@ mod tests {
             });
         });
         assert_eq!(counter.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn idle_workers_tracks_idle_and_busy_workers() {
+        use std::sync::Barrier;
+        let pool = ThreadPool::new(2);
+        let both_running = Barrier::new(2);
+        let checked = Barrier::new(2);
+        pool.scope(|scope| {
+            scope.spawn(|scope, ctx| {
+                // Only this task exists, so the other worker runs out of jobs.
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while ctx.idle_workers() != 1 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "the other worker never went idle"
+                    );
+                    std::thread::yield_now();
+                }
+                // This worker is blocked below, so the idle one must take the
+                // second task; the barrier holds both tasks running.
+                let (both_running, checked) = (&both_running, &checked);
+                ctx.spawn(scope, move |_, _| {
+                    both_running.wait();
+                    checked.wait();
+                });
+                both_running.wait();
+                assert_eq!(ctx.idle_workers(), 0);
+                checked.wait();
+            });
+        });
     }
 
     #[test]
