@@ -490,7 +490,9 @@ mod tests {
             );
             for style in STYLES {
                 let mut first_counters = None;
-                for threads in [1, 2, 4] {
+                // 8 workers on a small machine leave several idle at once:
+                // splits then wait and run concurrently.
+                for threads in [1, 2, 4, 8] {
                     let label = format!("{name} {style:?} threads={threads}");
                     let pool = ThreadPool::new(threads);
                     let sink = CollectingSink::new();

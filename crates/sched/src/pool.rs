@@ -27,9 +27,16 @@ struct Shared {
     shutdown: AtomicBool,
     /// Workers currently without a job. Written only on a worker's
     /// idle↔busy transitions, so busy workers can poll it cheaply. A hint
-    /// that publishes no other data, hence `Relaxed`.
-    idle: AtomicUsize,
+    /// that publishes no other data, hence `Relaxed`. Padded onto a cache
+    /// line of its own so these writes never invalidate the fields that
+    /// `find_job` and `worker_loop` read on every iteration.
+    idle: IdleCount,
 }
+
+/// An `AtomicUsize` alone on its cache line. `crossbeam_utils::CachePadded`
+/// would do, but `pce-sched` keeps to `crossbeam-deque` and `parking_lot`.
+#[repr(align(128))]
+struct IdleCount(AtomicUsize);
 
 impl Shared {
     fn notify_all(&self) {
@@ -65,7 +72,7 @@ impl<'a> WorkerCtx<'a> {
     /// jobs and when it picks one up again, so it can lag briefly behind.
     #[inline]
     pub fn idle_workers(&self) -> usize {
-        self.shared.idle.load(Ordering::Relaxed)
+        self.shared.idle.0.load(Ordering::Relaxed)
     }
 
     /// Spawns a task belonging to `scope` onto this worker's local deque.
@@ -238,7 +245,7 @@ impl ThreadPool {
             sleep_lock: Mutex::new(()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            idle: AtomicUsize::new(0),
+            idle: IdleCount(AtomicUsize::new(0)),
         });
 
         let handles = workers
@@ -321,7 +328,7 @@ fn worker_loop(index: usize, local: Worker<Job>, shared: Arc<Shared>) {
                 }
                 if !idle {
                     idle = true;
-                    shared.idle.fetch_add(1, Ordering::Relaxed);
+                    shared.idle.0.fetch_add(1, Ordering::Relaxed);
                 }
                 idle_spins += 1;
                 if idle_spins < backoff_limit {
@@ -341,7 +348,7 @@ fn worker_loop(index: usize, local: Worker<Job>, shared: Arc<Shared>) {
         idle_spins = 0;
         if idle {
             idle = false;
-            shared.idle.fetch_sub(1, Ordering::Relaxed);
+            shared.idle.0.fetch_sub(1, Ordering::Relaxed);
         }
         let ctx = WorkerCtx {
             worker_id: index,
