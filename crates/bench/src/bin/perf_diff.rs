@@ -16,9 +16,9 @@
 //!
 //! * **Timing keys** (`*_ms`, `*_secs`, `*per_sec`, `overhead`) — soft: a
 //!   warning when the fresh value exceeds 1.5× baseline, never a failure.
-//! * **Scheduling-event keys** (`steals`, `assists`, `joins`,
-//!   `busy_workers`, `*_events`) — soft, same threshold: which worker stole
-//!   or joined what is a race outcome, not deterministic work.
+//! * **Scheduling-event keys** (`steals`, `busy_workers`, `*_events`) —
+//!   soft, same threshold: which worker stole what is a race outcome, not
+//!   deterministic work.
 //! * **Identity and correctness keys** (strings, booleans, and the numeric
 //!   keys `threads`, `subs`, `groups`, `batches`, `cycles`, `candidates`,
 //!   `replayed_batches`, `hydrated_batches`, `skipped_batches`, `segments`,
@@ -231,11 +231,11 @@ fn is_timing(key: &str) -> bool {
     key.ends_with("_ms") || key.ends_with("_secs") || key.ends_with("per_sec") || key == "overhead"
 }
 
-/// Scheduling-event keys: how often workers stole, joined or assisted is a
-/// race outcome that varies run to run even at fixed seeds and thread counts,
-/// so these never gate — soft-warned like wall clock.
+/// Scheduling-event keys: how often workers stole is a race outcome that
+/// varies run to run even at fixed seeds and thread counts, so these never
+/// gate — soft-warned like wall clock.
 fn is_scheduling(key: &str) -> bool {
-    matches!(key, "steals" | "assists" | "joins" | "busy_workers") || key.ends_with("_events")
+    matches!(key, "steals" | "busy_workers") || key.ends_with("_events")
 }
 
 /// Numeric keys where any drift (either direction) is a hard failure:

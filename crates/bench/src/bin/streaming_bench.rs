@@ -11,12 +11,6 @@
 //! hub-burst section then shows the coarse driver pinning a skewed burst to
 //! one worker while the fine-grained driver spreads it via steals.
 //!
-//! The **sched** section compares the two fine-grained scheduling strategies
-//! head to head: the same hub burst and sustained stream run under the
-//! work-stealing deques and under the packed-atomic work-assisting loop,
-//! reporting burst latency, steal/assist/join counts and edges/sec for each,
-//! and asserting both strategies report identical cycle totals.
-//!
 //! The **multi_query** section measures the shared-ingest win of
 //! [`pce_core::MultiStreamingEngine`]: one engine serving 1/2/4/8 mixed-portfolio
 //! subscriptions versus one dedicated engine per query, asserting per-query
@@ -42,13 +36,6 @@
 //! scenario itself asserts the durable and recovered engines report exactly
 //! what the plain engine reports.
 //!
-//! The **sharded** section measures what hash-by-vertex `ShardSpec`
-//! partitioning of the sliding-window graph buys the ingest path: the same
-//! stream replayed at S = 1/2/4/8 shards under a Sequential-granularity
-//! query, asserting byte-identical reports at every shard count and (on
-//! machines with ≥ 4 cores) a monotonically rising edges/sec curve from
-//! S=1 to S=4.
-//!
 //! The **fan_out** section measures the subscription-scale dispatch layer: a
 //! 64/256/1024-subscription portfolio drawn from a fixed 16-profile pool,
 //! served once with the naive per-candidate loop and once with the
@@ -73,13 +60,13 @@
 //! machine-readable JSON document (`{"smoke": …, "sections": {…}}`), so the
 //! perf trajectory can be tracked across PRs without scraping stdout.
 
-use pce_core::{FanOutStrategy, Granularity, SchedStrategy};
+use pce_core::{FanOutStrategy, Granularity};
 use pce_workloads::durability::{run_durability, DurabilityConfig, StoreBackend};
 use pce_workloads::predicate::{run_predicate_comparison, PredicateScenarioConfig};
 use pce_workloads::streaming::{
-    run_fan_out_scale, run_hub_burst, run_hub_burst_sched, run_independent_portfolio,
-    run_multi_tenant, run_sharded_scale, run_stream_scenario, FanOutScaleConfig, HubBurstConfig,
-    MultiTenantConfig, ShardedScaleConfig, StreamScenarioConfig,
+    run_fan_out_scale, run_hub_burst, run_independent_portfolio, run_multi_tenant,
+    run_stream_scenario, FanOutScaleConfig, HubBurstConfig, MultiTenantConfig,
+    StreamScenarioConfig,
 };
 
 fn granularity_name(g: Granularity) -> &'static str {
@@ -87,13 +74,6 @@ fn granularity_name(g: Granularity) -> &'static str {
         Granularity::Sequential => "seq",
         Granularity::CoarseGrained => "coarse",
         Granularity::FineGrained => "fine",
-    }
-}
-
-fn sched_name(s: SchedStrategy) -> &'static str {
-    match s {
-        SchedStrategy::Stealing => "stealing",
-        SchedStrategy::Assisting => "assisting",
     }
 }
 
@@ -334,102 +314,6 @@ fn hub_burst_section(
         }
     }
     println!("ok: hub burst agrees across granularities");
-}
-
-/// The scheduler-strategy section: the same fine-grained hub burst and
-/// sustained stream run once under the work-stealing driver and once under
-/// the work-assisting loop, so the `--json` trajectory carries steal counts,
-/// assist/join counts, and edges/sec side by side. Cycle totals must match
-/// exactly — the two drivers enumerate the identical delta.
-fn sched_section(smoke: bool, threads: usize, log: &mut JsonLog) {
-    let hub = if smoke {
-        HubBurstConfig::smoke()
-    } else {
-        HubBurstConfig::default()
-    };
-    let scenario = if smoke {
-        StreamScenarioConfig::smoke()
-    } else {
-        StreamScenarioConfig::default()
-    };
-    println!(
-        "\nscheduler strategy (fine granularity, {} threads): work-stealing vs \
-         work-assisting on hub burst (width {}, depth {}) and sustained stream",
-        threads, hub.width, hub.depth,
-    );
-    println!(
-        "{:>10} {:>10} {:>8} {:>8} {:>8} {:>12} {:>12}",
-        "strategy", "burst ms", "steals", "assists", "joins", "cycles", "edges/s"
-    );
-    let multicore = threads > 1 && pce_sched::available_parallelism() >= 2;
-    let mut totals: Option<(u64, u64)> = None;
-    for sched in [SchedStrategy::Stealing, SchedStrategy::Assisting] {
-        let burst = run_hub_burst_sched(&hub, threads, Granularity::FineGrained, sched)
-            .expect("valid hub-burst config");
-        let stream = run_stream_scenario(
-            &scenario
-                .clone()
-                .with_granularity(Granularity::FineGrained)
-                .with_sched(sched),
-            threads,
-        )
-        .expect("valid stream scenario");
-        let steals = burst.burst_stats.work.total_steals();
-        let assists = burst.burst_stats.work.total_assists();
-        let joins = burst.burst_stats.work.total_joins();
-        println!(
-            "{:>10} {:>10.3} {:>8} {:>8} {:>8} {:>12} {:>12.0}",
-            sched_name(sched),
-            burst.burst_secs * 1e3,
-            steals,
-            assists,
-            joins,
-            burst.cycles,
-            stream.sustained_edges_per_sec(),
-        );
-        log.push(
-            "sched",
-            vec![
-                ("strategy", sched_name(sched).into()),
-                ("threads", threads.into()),
-                ("burst_ms", (burst.burst_secs * 1e3).into()),
-                ("steals", steals.into()),
-                ("assists", assists.into()),
-                ("joins", joins.into()),
-                ("cycles", burst.cycles.into()),
-                ("stream_cycles", stream.total_cycles.into()),
-                ("edges_per_sec", stream.sustained_edges_per_sec().into()),
-            ],
-        );
-        // Each driver records only its own scheduling events: stealing never
-        // joins an assisting loop, assisting never touches the steal deques.
-        match sched {
-            SchedStrategy::Stealing => {
-                assert_eq!(joins, 0, "stealing driver must not record joins");
-                if multicore {
-                    assert!(
-                        steals > 0,
-                        "stealing driver must record steals on the burst"
-                    );
-                }
-            }
-            SchedStrategy::Assisting => {
-                assert_eq!(steals, 0, "assisting driver must not record steals");
-                if multicore {
-                    assert!(joins > 0, "assisting driver must record joins on the burst");
-                }
-            }
-        }
-        match totals {
-            None => totals = Some((burst.cycles, stream.total_cycles)),
-            Some(expected) => assert_eq!(
-                (burst.cycles, stream.total_cycles),
-                expected,
-                "cycle totals diverged across scheduling strategies"
-            ),
-        }
-    }
-    println!("ok: both strategies report identical cycle totals");
 }
 
 /// The multi-query subscription section: shared engine vs one engine per
@@ -787,86 +671,6 @@ fn predicate_section(smoke: bool, thread_counts: &[usize], log: &mut JsonLog) {
     );
 }
 
-/// The sharded-ingest section: the stream scenario replayed once per shard
-/// count (S = 1, 2, 4, 8) through a `StreamingEngine` whose sliding-window
-/// graph is hash-partitioned by `ShardSpec`, at a Sequential-granularity
-/// query so the shard layout parallelises both the per-batch append/expiry
-/// work and the per-root delta searches. The runner asserts byte-identical
-/// reports across shard counts; the throughput gate below additionally
-/// requires the edges/sec curve to rise from S=1 to S=4 — but only on
-/// machines with at least 4 cores, since sharding is pure overhead on a
-/// single core.
-fn sharded_section(smoke: bool, threads: usize, log: &mut JsonLog) {
-    let cfg = if smoke {
-        ShardedScaleConfig::smoke()
-    } else {
-        ShardedScaleConfig::default()
-    };
-    println!(
-        "\nsharded ingest ({}, {} threads, seq granularity): hash-by-vertex \
-         ShardSpec over the sliding-window graph",
-        if smoke { "smoke" } else { "full" },
-        threads,
-    );
-    println!(
-        "{:>7} {:>12} {:>10} {:>10} {:>10} {:>10} {:>9}",
-        "shards", "edges/sec", "batches", "mean ms", "p95 ms", "max ms", "cycles"
-    );
-    let rows = run_sharded_scale(&cfg, threads).expect("valid sharded config");
-    for row in &rows {
-        let r = &row.report;
-        println!(
-            "{:>7} {:>12.0} {:>10} {:>10.3} {:>10.3} {:>10.3} {:>9}",
-            row.shards,
-            r.sustained_edges_per_sec(),
-            r.rows.len(),
-            r.mean_latency_secs() * 1e3,
-            r.latency_percentile_secs(0.95) * 1e3,
-            r.max_latency_secs() * 1e3,
-            r.total_cycles,
-        );
-        log.push(
-            "sharded",
-            vec![
-                ("threads", threads.into()),
-                ("shards", row.shards.into()),
-                ("edges_per_sec", r.sustained_edges_per_sec().into()),
-                ("batches", r.rows.len().into()),
-                ("mean_ms", (r.mean_latency_secs() * 1e3).into()),
-                ("p95_ms", (r.latency_percentile_secs(0.95) * 1e3).into()),
-                ("max_ms", (r.max_latency_secs() * 1e3).into()),
-                ("cycles", r.total_cycles.into()),
-            ],
-        );
-    }
-    // Cycle equality across shard counts is asserted inside the runner,
-    // batch by batch. The throughput gate only makes sense with real cores
-    // to spread the shards over.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores >= 4 && threads >= 4 {
-        let at = |s: usize| {
-            rows.iter()
-                .find(|r| r.shards == s)
-                .map(|r| r.report.sustained_edges_per_sec())
-                .expect("sweep includes S=1..4")
-        };
-        assert!(
-            at(1) < at(2) && at(2) < at(4),
-            "edges/sec must rise monotonically S=1 -> S=4 on a multi-core \
-             machine ({:.0} / {:.0} / {:.0})",
-            at(1),
-            at(2),
-            at(4),
-        );
-        println!("ok: identical reports at every shard count; edges/sec rises S=1 -> S=4");
-    } else {
-        println!(
-            "ok: identical reports at every shard count (monotonicity gate skipped: \
-             {cores} cores, {threads} threads)"
-        );
-    }
-}
-
 /// The durability section: logged vs in-memory ingest overhead and recovery
 /// time, on both store backends. The scenario asserts report equivalence
 /// internally; the gate here is on the bookkeeping shape (every batch
@@ -997,18 +801,16 @@ fn main() {
     let max_threads = *thread_counts.last().expect("non-empty thread counts");
 
     // Section selectors: with none given, every section runs; naming any
-    // subset (`streaming`, `hub_burst`, `sched`, `multi_query`, `fan_out`,
-    // `predicate`, `sharded`, `durability`) runs only those. Unknown positional tokens
+    // subset (`streaming`, `hub_burst`, `multi_query`, `fan_out`,
+    // `predicate`, `durability`) runs only those. Unknown positional tokens
     // are an error, not a silent run-all — a typoed section name in CI must
     // fail fast, not change the gate.
-    const SECTIONS: [&str; 8] = [
+    const SECTIONS: [&str; 6] = [
         "streaming",
         "hub_burst",
-        "sched",
         "multi_query",
         "fan_out",
         "predicate",
-        "sharded",
         "durability",
     ];
     let mut selected: Vec<&str> = Vec::new();
@@ -1033,9 +835,6 @@ fn main() {
     if runs("hub_burst") {
         hub_burst_section(smoke, &granularities, max_threads, &mut log);
     }
-    if runs("sched") {
-        sched_section(smoke, max_threads, &mut log);
-    }
     if runs("multi_query") {
         for &granularity in &granularities {
             multi_query_section(smoke, granularity, thread_counts, &mut log);
@@ -1046,9 +845,6 @@ fn main() {
     }
     if runs("predicate") {
         predicate_section(smoke, thread_counts, &mut log);
-    }
-    if runs("sharded") {
-        sharded_section(smoke, max_threads, &mut log);
     }
     if runs("durability") {
         durability_section(smoke, max_threads, &mut log);

@@ -30,21 +30,14 @@
 //! one-shot granularities:
 //!
 //! * [`Schedule::Sequential`] — one thread sweeps the batch's roots;
-//! * [`Schedule::Sharded`] — one task per shard, each sweeping the roots
-//!   whose source vertex it owns (sequential searches, parallel across
-//!   shards);
 //! * [`Schedule::PerRoot`] — one dynamically scheduled task per root (§4,
 //!   coarse-grained): work efficient, but a batch whose cycles all hang off
 //!   one hot root collapses to a single worker;
 //! * [`Schedule::Fine`] — every recursion level of a rooted search is a
 //!   copyable task (§5/§7 applied to the backward search), so even a
 //!   single-root burst engages all workers. The per-root pruning state is
-//!   snapshot into a shared `UnionView` once and read-only thereafter. Under
-//!   [`SchedStrategy::Stealing`] the tasks go onto the pool's work-stealing
-//!   deques; under [`SchedStrategy::Assisting`] idle workers join per-level
-//!   [`WorkAssistingLoop`]s in place (one packed atomic per level). Both
-//!   expand tasks through the same body, which makes them mutual
-//!   differential oracles.
+//!   snapshot into a shared `UnionView` once and read-only thereafter; the
+//!   tasks go onto the pool's work-stealing deques.
 //!
 //! Everything here is generic over [`GraphView`], so the same code serves the
 //! immutable [`TemporalGraph`](pce_graph::TemporalGraph) and the streaming
@@ -105,21 +98,19 @@
 //! that case is detected once per run and adds no per-edge work.
 
 use crate::cycle::{CycleSink, HaltingSink};
-use crate::metrics::{RunStats, ShardStats, WorkMetrics};
+use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
 use crate::seq::RootScratch;
 use crate::union::{UnionQuery, UnionView};
 use crate::util::{fx_set, FxHashSet};
-use crate::{Algorithm, Granularity, SchedStrategy};
-use parking_lot::Mutex;
+use crate::{Algorithm, Granularity};
 use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{
-    Amount, CyclePredicate, EdgeId, GraphView, Position, ShardSpec, TemporalEdge, TimeWindow,
-    Timestamp, VertexFilter, VertexId,
+    Amount, CyclePredicate, EdgeId, GraphView, Position, TemporalEdge, TimeWindow, Timestamp,
+    VertexFilter, VertexId,
 };
-use pce_sched::{DynamicCounter, Scope, ThreadPool, WorkAssistingLoop, WorkerCtx};
+use pce_sched::{DynamicCounter, Scope, ThreadPool, WorkerCtx};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -176,14 +167,10 @@ impl DeltaPlan {
 pub enum Schedule<'a> {
     /// One thread sweeps the roots in ascending id order; no pool is touched.
     Sequential,
-    /// One task per shard of the spec, each sweeping the roots whose source
-    /// vertex it owns. Per-shard attribution lands in [`RunStats::shards`].
-    Sharded(&'a ThreadPool, ShardSpec),
     /// One dynamically scheduled task per root (coarse-grained).
     PerRoot(&'a ThreadPool),
-    /// Every recursion level of a rooted search is a task (fine-grained),
-    /// scheduled by the given strategy.
-    Fine(&'a ThreadPool, SchedStrategy),
+    /// Every recursion level of a rooted search is a task (fine-grained).
+    Fine(&'a ThreadPool),
 }
 
 impl Schedule<'_> {
@@ -191,9 +178,7 @@ impl Schedule<'_> {
     fn threads(&self) -> usize {
         match self {
             Schedule::Sequential => 1,
-            Schedule::Sharded(pool, _) | Schedule::PerRoot(pool) | Schedule::Fine(pool, _) => {
-                pool.num_threads()
-            }
+            Schedule::PerRoot(pool) | Schedule::Fine(pool) => pool.num_threads(),
         }
     }
 }
@@ -231,7 +216,7 @@ pub fn run<G: GraphView + ?Sized, S: CycleSink>(
         metrics: &metrics,
     };
     let start = Instant::now();
-    let (granularity, shards) = match schedule {
+    let granularity = match schedule {
         Schedule::Sequential => {
             let scratch = &mut scratches[0];
             for root in roots {
@@ -240,25 +225,15 @@ pub fn run<G: GraphView + ?Sized, S: CycleSink>(
                 }
                 shared.search_root(root, scratch, 0);
             }
-            (Granularity::Sequential, Vec::new())
+            Granularity::Sequential
         }
-        // Sharding parallelises *across* shards, not inside a root: each
-        // root still runs the sequential search, hence the tag.
-        Schedule::Sharded(pool, spec) => (
-            Granularity::Sequential,
-            run_sharded(&shared, roots, spec, sink, pool, scratches),
-        ),
         Schedule::PerRoot(pool) => {
             run_per_root(&shared, roots, pool, scratches);
-            (Granularity::CoarseGrained, Vec::new())
+            Granularity::CoarseGrained
         }
-        Schedule::Fine(pool, SchedStrategy::Stealing) => {
+        Schedule::Fine(pool) => {
             run_fine(&shared, roots, pool, scratches);
-            (Granularity::FineGrained, Vec::new())
-        }
-        Schedule::Fine(pool, SchedStrategy::Assisting) => {
-            run_fine_assist(&shared, roots, pool, scratches);
-            (Granularity::FineGrained, Vec::new())
+            Granularity::FineGrained
         }
     };
     RunStats {
@@ -266,7 +241,6 @@ pub fn run<G: GraphView + ?Sized, S: CycleSink>(
         wall_secs: start.elapsed().as_secs_f64(),
         work: metrics.snapshot(),
         threads,
-        shards,
         ..RunStats::default()
     }
     .tagged(Algorithm::Johnson, granularity)
@@ -442,20 +416,6 @@ struct Shared<'a, G: ?Sized, S> {
 }
 
 impl<'a, G: GraphView + ?Sized, S: CycleSink> Shared<'a, G, S> {
-    /// The same run state reporting into `sink` instead.
-    fn with_sink<'b, T>(&self, sink: &'b HaltingSink<'b, T>) -> Shared<'b, G, T>
-    where
-        'a: 'b,
-    {
-        Shared {
-            graph: self.graph,
-            plan: self.plan,
-            push: self.push,
-            sink,
-            metrics: self.metrics,
-        }
-    }
-
     /// The per-root preamble every schedule shares: root admission,
     /// self-loop handling, the δ-window and the mirrored union pass into
     /// `scratch`. Returns the root edge and its window, or `None` when the
@@ -504,8 +464,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Shared<'a, G, S> {
     }
 
     /// Runs the sequential search rooted at `root` (the cycle's maximum
-    /// edge) — the unit of work of the sequential, sharded and per-root
-    /// schedules.
+    /// edge) — the unit of work of the sequential and per-root schedules.
     fn search_root(&self, root: EdgeId, scratch: &mut RootScratch, worker: usize) {
         let Some((e, window)) = self.prepare_root(root, scratch, worker) else {
             return;
@@ -749,112 +708,6 @@ fn run_per_root<G: GraphView + ?Sized, S: CycleSink>(
     });
 }
 
-/// A sink adaptor attributing accepted cycles to one shard: forwards every
-/// push to the shared inner sink and bumps the shard's counter. The counter
-/// assumes a non-halting inner sink (the streaming engine's counting and
-/// collecting sinks never return `Break`); under an early-stopping sink the
-/// per-shard attribution may over-count by in-flight pushes, exactly like
-/// the global count across workers.
-struct ShardCountingSink<'a, S> {
-    inner: &'a S,
-    cycles: &'a AtomicU64,
-}
-
-impl<S: CycleSink> CycleSink for ShardCountingSink<'_, S> {
-    fn push(&self, vertices: &[VertexId], edges: &[EdgeId]) -> std::ops::ControlFlow<()> {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
-        self.inner.push(vertices, edges)
-    }
-
-    fn count(&self) -> u64 {
-        self.inner.count()
-    }
-}
-
-/// The sharded schedule: the root range is partitioned by *shard ownership
-/// of the root's source vertex* ([`ShardSpec::owner`]), workers claim whole
-/// shards from a dynamic counter, and every claimed shard sweeps the batch's
-/// roots sequentially in ascending id order, skipping roots it does not own.
-/// Ownership partitions the roots, so together the shards process every root
-/// exactly once — and because a cycle is reported only by the search rooted
-/// at its maximum `(ts, id)` edge, a cycle whose path crosses shard
-/// boundaries is still reported exactly once, by the shard owning that
-/// closing edge. Cross-shard paths need no messaging: the backward
-/// union/search passes read sibling shards' adjacency directly (immutable
-/// between appends), which is the shared-memory form of the boundary-frontier
-/// exchange.
-///
-/// Returns the per-shard cycle/root attribution.
-fn run_sharded<G: GraphView + ?Sized, S: CycleSink>(
-    shared: &Shared<'_, G, S>,
-    roots: Range<EdgeId>,
-    spec: ShardSpec,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> Vec<ShardStats> {
-    let nshards = spec.shards();
-    let counter = DynamicCounter::new(nshards, 1);
-    let shard_cycles: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
-    let shard_roots: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
-    // A sink's Break latches per shard (each shard wraps its own
-    // HaltingSink); this flag propagates the stop to shards other workers
-    // are sweeping.
-    let stop = AtomicBool::new(false);
-
-    pool.scope(|scope| {
-        for scratch in scratches.iter_mut().take(nshards) {
-            let counter = &counter;
-            let shard_cycles = &shard_cycles;
-            let shard_roots = &shard_roots;
-            let stop = &stop;
-            let roots = roots.clone();
-            scope.spawn(move |_, ctx| {
-                let worker = ctx.worker_id();
-                while let Some(s) = counter.next() {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let shard_sink = ShardCountingSink {
-                        inner: sink,
-                        cycles: &shard_cycles[s],
-                    };
-                    let halting = HaltingSink::new(&shard_sink);
-                    let shard = shared.with_sink(&halting);
-                    let mut owned = 0u64;
-                    for root in roots.clone() {
-                        if halting.stopped() || stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if spec.owner(shared.graph.edge(root).src) != s {
-                            continue;
-                        }
-                        owned += 1;
-                        shard.search_root(root, scratch, worker);
-                    }
-                    shard_roots[s].store(owned, Ordering::Relaxed);
-                    if halting.stopped() {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    shared.metrics.add_busy(worker, t0.elapsed());
-                }
-            });
-        }
-    });
-
-    shard_roots
-        .iter()
-        .zip(shard_cycles.iter())
-        .enumerate()
-        .map(|(shard, (r, c))| ShardStats {
-            shard,
-            roots: r.load(Ordering::Relaxed),
-            cycles: c.load(Ordering::Relaxed),
-        })
-        .collect()
-}
-
 /// One copyable recursion level of a fine-grained delta search: extend the
 /// path from its tip. The per-root pruning state ([`UnionView`], the mirrored
 /// closing-time bounds) is read-only, so a task only needs private copies of
@@ -890,21 +743,29 @@ struct FineDeltaTask {
     spawned_by: usize,
 }
 
-/// Expands one task: scans the admissible out-edges of the path tip, reports
-/// the cycles it closes and hands every continuable branch to `emit` as a
-/// fresh child task (stamped `spawned_by: worker`). The expansion — and its
-/// per-task metrics: one recursive call, one edge visit per scanned entry,
-/// one copy per emitted child — is shared verbatim by the two fine-grained
-/// strategies, which differ only in where children go: *stealing* spawns
-/// them onto the worker's deque, *assisting* collects them into the next
-/// frontier level. That shared body is what makes the two strategies
-/// differentially comparable counter-for-counter.
-fn expand_fine_task<G: GraphView + ?Sized, S: CycleSink>(
-    shared: &Shared<'_, G, S>,
-    task: &mut FineDeltaTask,
-    worker: usize,
-    mut emit: impl FnMut(FineDeltaTask),
+/// Runs one task: scans the admissible out-edges of the path tip, reports
+/// the cycles it closes and spawns every continuable branch as a child task
+/// onto the executing worker's LIFO deque, so a lone busy worker keeps the
+/// sequential depth-first order while idle workers steal the shallowest —
+/// largest — subtrees.
+fn execute_fine_delta<'scope, G: GraphView + ?Sized, S: CycleSink>(
+    shared: &'scope Shared<'scope, G, S>,
+    mut task: FineDeltaTask,
+    scope: &Scope<'scope>,
+    ctx: &WorkerCtx<'_>,
 ) {
+    // A task scheduled after the sink stopped the run returns immediately
+    // (and spawns nothing), so the scope drains quickly.
+    if shared.sink.stopped() {
+        return;
+    }
+    let worker = ctx.worker_id();
+    if worker != task.spawned_by {
+        // The pool's deques did the actual theft; record it here, where the
+        // migrated task starts executing.
+        shared.metrics.steal_event(worker);
+    }
+    let start = Instant::now();
     shared.metrics.recursive_call(worker);
     let v = *task.path.last().expect("path never empty");
     let (window, temporal) = match shared.plan.kind {
@@ -978,7 +839,7 @@ fn expand_fine_task<G: GraphView + ?Sized, S: CycleSink>(
         child_path.push(w);
         child_edges.push(entry.edge);
         child_on_path.insert(w);
-        emit(FineDeltaTask {
+        let child = FineDeltaTask {
             root: task.root,
             target: task.target,
             window: task.window,
@@ -992,37 +853,11 @@ fn expand_fine_task<G: GraphView + ?Sized, S: CycleSink>(
             path_edges: child_edges,
             on_path: child_on_path,
             spawned_by: worker,
-        });
-    }
-}
-
-/// Runs one task under the *stealing* scheduler: children are spawned onto
-/// the executing worker's LIFO deque, so a lone busy worker keeps the
-/// sequential depth-first order while idle workers steal the shallowest —
-/// largest — subtrees.
-fn execute_fine_delta<'scope, G: GraphView + ?Sized, S: CycleSink>(
-    shared: &'scope Shared<'scope, G, S>,
-    mut task: FineDeltaTask,
-    scope: &Scope<'scope>,
-    ctx: &WorkerCtx<'_>,
-) {
-    // A task scheduled after the sink stopped the run returns immediately
-    // (and spawns nothing), so the scope drains quickly.
-    if shared.sink.stopped() {
-        return;
-    }
-    let worker = ctx.worker_id();
-    if worker != task.spawned_by {
-        // The pool's deques did the actual theft; record it here, where the
-        // migrated task starts executing.
-        shared.metrics.steal_event(worker);
-    }
-    let start = Instant::now();
-    expand_fine_task(shared, &mut task, worker, |child| {
+        };
         ctx.spawn(scope, move |scope, ctx| {
             execute_fine_delta(shared, child, scope, ctx);
         });
-    });
+    }
     shared.metrics.add_busy(worker, start.elapsed());
 }
 
@@ -1088,201 +923,6 @@ fn run_fine<G: GraphView + ?Sized, S: CycleSink>(
                     shared.metrics.add_busy(worker, prep.elapsed());
                     if let Some(task) = task {
                         execute_fine_delta(shared, task, scope, ctx);
-                    }
-                }
-            });
-        }
-    });
-}
-
-/// One frontier level of the work-assisting fine schedule: the branch tasks
-/// to expand, the packed claim loop idle workers join, and the bucket the
-/// next level is gathered from. Each task slot is claimed exactly once
-/// through the loop; the mutex-wrapped `Option` only arbitrates ownership
-/// transfer, never contended work.
-struct AssistLevel {
-    tasks: Vec<Mutex<Option<FineDeltaTask>>>,
-    claims: WorkAssistingLoop,
-    next: Mutex<Vec<FineDeltaTask>>,
-}
-
-impl AssistLevel {
-    fn new(frontier: Vec<FineDeltaTask>) -> Self {
-        let claims = WorkAssistingLoop::new(frontier.len(), 1);
-        Self {
-            tasks: frontier.into_iter().map(|t| Mutex::new(Some(t))).collect(),
-            claims,
-            next: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-/// How the work-assisting schedule's participants find the current level:
-/// the coordinator publishes each level under the mutex and bumps `epoch`;
-/// helpers spin on the epoch (yielding, so a 1-core machine still makes
-/// progress) and join whatever is published. `done` releases the helpers when
-/// the last frontier drains — set through a drop guard, so a panicking
-/// coordinator cannot wedge them.
-struct AssistCoordination {
-    epoch: AtomicUsize,
-    done: AtomicBool,
-    current: Mutex<Option<Arc<AssistLevel>>>,
-}
-
-/// Sets the coordination `done` flag on drop (including unwinds).
-struct DoneGuard<'a>(&'a AtomicBool);
-
-impl Drop for DoneGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Release);
-    }
-}
-
-/// Joins one level's claim loop and expands every task it wins, collecting
-/// children locally and appending them to the level's output bucket once —
-/// the per-root branch expansion of the assisting scheduler. Records one
-/// `join` per entered loop and one `assist` when the loop was already being
-/// run by another worker (the assisting analogue of a steal).
-fn assist_level<G: GraphView + ?Sized, S: CycleSink>(
-    shared: &Shared<'_, G, S>,
-    level: &AssistLevel,
-    worker: usize,
-) {
-    let Some(guard) = level.claims.try_join() else {
-        return;
-    };
-    shared.metrics.join_event(worker);
-    if guard.assisted() {
-        shared.metrics.assist_event(worker);
-    }
-    let mut children = Vec::new();
-    while let Some(i) = guard.next() {
-        if shared.sink.stopped() {
-            // Keep claiming so the loop exhausts and `is_complete` fires —
-            // each drained claim is one compare-exchange, no work.
-            continue;
-        }
-        let Some(mut task) = level.tasks[i].lock().take() else {
-            continue;
-        };
-        let t0 = Instant::now();
-        expand_fine_task(shared, &mut task, worker, |child| children.push(child));
-        shared.metrics.add_busy(worker, t0.elapsed());
-    }
-    if !children.is_empty() {
-        level.next.lock().append(&mut children);
-    }
-}
-
-/// The fine-grained work-assisting schedule: the same root preparation and
-/// branch expansion as [`run_fine`], scheduled through packed-atomic
-/// [`WorkAssistingLoop`]s instead of boxed tasks on the stealing deques.
-///
-/// The run is level-synchronous: all participants first claim root edges
-/// cooperatively from one assisting loop (each preparing roots into its own
-/// scratch), then the coordinator — the first spawned participant — publishes
-/// the prepared tasks as frontier level 0 and republishes each level's
-/// children as the next, while the remaining participants spin on the epoch
-/// and join every published loop in place. Joining, claiming and completion
-/// detection are all single operations on each loop's packed word, so no
-/// barriers or parked tasks are needed; a worker that arrives mid-level
-/// simply joins it (recorded as an `assist`).
-///
-/// Trade-off vs. stealing: no per-branch `Job` allocation or deque
-/// round-trip, but the frontier is breadth-first, so peak memory is bounded
-/// by the widest recursion level rather than the search depth. Reported
-/// cycles and the deterministic work counters (edge visits, recursive calls,
-/// copies, union members, roots) are identical to stealing's — only the
-/// steal/join/assist scheduling counters differ — which is what the
-/// differential sweeps assert.
-fn run_fine_assist<G: GraphView + ?Sized, S: CycleSink>(
-    shared: &Shared<'_, G, S>,
-    roots: Range<EdgeId>,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) {
-    let base = roots.start;
-    let root_claims = WorkAssistingLoop::new(roots.len(), 1);
-    let root_out: Mutex<Vec<FineDeltaTask>> = Mutex::new(Vec::new());
-    let coord = AssistCoordination {
-        epoch: AtomicUsize::new(0),
-        done: AtomicBool::new(false),
-        current: Mutex::new(None),
-    };
-
-    pool.scope(|scope| {
-        for (slot, scratch) in scratches.iter_mut().enumerate() {
-            let root_claims = &root_claims;
-            let root_out = &root_out;
-            let coord = &coord;
-            scope.spawn(move |_, ctx| {
-                let worker = ctx.worker_id();
-                // Phase 1: every participant joins the root-claim loop and
-                // prepares roots into its own scratch.
-                if let Some(guard) = root_claims.try_join() {
-                    shared.metrics.join_event(worker);
-                    if guard.assisted() {
-                        shared.metrics.assist_event(worker);
-                    }
-                    let mut prepared = Vec::new();
-                    while let Some(i) = guard.next() {
-                        if shared.sink.stopped() {
-                            continue; // drain claims so the loop exhausts
-                        }
-                        let prep = Instant::now();
-                        let task = prepare_fine_root(shared, base + i as EdgeId, scratch, worker);
-                        shared.metrics.add_busy(worker, prep.elapsed());
-                        if let Some(task) = task {
-                            prepared.push(task);
-                        }
-                    }
-                    if !prepared.is_empty() {
-                        root_out.lock().append(&mut prepared);
-                    }
-                }
-                if slot == 0 {
-                    // Phase 2, coordinator: wait for the root loop to drain
-                    // (single packed load — exhausted and everyone left),
-                    // then publish one assisting loop per frontier level,
-                    // working each level itself.
-                    let _done = DoneGuard(&coord.done);
-                    while !root_claims.is_complete() {
-                        std::hint::spin_loop();
-                        std::thread::yield_now();
-                    }
-                    let mut frontier = std::mem::take(&mut *root_out.lock());
-                    while !frontier.is_empty() && !shared.sink.stopped() {
-                        let level = Arc::new(AssistLevel::new(frontier));
-                        *coord.current.lock() = Some(Arc::clone(&level));
-                        coord.epoch.fetch_add(1, Ordering::Release);
-                        assist_level(shared, &level, worker);
-                        while !level.claims.is_complete() {
-                            std::hint::spin_loop();
-                            std::thread::yield_now();
-                        }
-                        frontier = std::mem::take(&mut *level.next.lock());
-                    }
-                } else {
-                    // Phase 2, helper: assist every published level until the
-                    // coordinator declares the run finished. A joined loop is
-                    // drained to exhaustion before re-checking the epoch, so
-                    // a helper is either working or one load away from it.
-                    let mut seen = 0;
-                    loop {
-                        if coord.done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let epoch = coord.epoch.load(Ordering::Acquire);
-                        if epoch == seen {
-                            std::hint::spin_loop();
-                            std::thread::yield_now();
-                            continue;
-                        }
-                        seen = epoch;
-                        let level = coord.current.lock().clone();
-                        if let Some(level) = level {
-                            assist_level(shared, &level, worker);
-                        }
                     }
                 }
             });
@@ -1413,23 +1053,13 @@ mod tests {
         run_all(&plan, Schedule::Sequential, &g, &with);
         assert_eq!(with.count(), 2);
         let pool = ThreadPool::new(2);
-        for schedule in [
-            Schedule::Fine(&pool, SchedStrategy::Stealing),
-            Schedule::Fine(&pool, SchedStrategy::Assisting),
-        ] {
-            let with = CountingSink::new();
-            run_all(&plan, schedule, &g, &with);
-            assert_eq!(with.count(), 2);
-        }
+        let with = CountingSink::new();
+        run_all(&plan, Schedule::Fine(&pool), &g, &with);
+        assert_eq!(with.count(), 2);
         // A temporal self-loop closes nothing.
         let t = CountingSink::new();
         let plan = temporal(TemporalCycleOptions::with_window(10));
-        run_all(
-            &plan,
-            Schedule::Fine(&pool, SchedStrategy::Stealing),
-            &g,
-            &t,
-        );
+        run_all(&plan, Schedule::Fine(&pool), &g, &t);
         assert_eq!(t.count(), 1);
     }
 
@@ -1461,10 +1091,8 @@ mod tests {
             .vertices(VertexFilter::deny(vec![0, 1]));
         let pool = ThreadPool::new(4);
         let schedules = [
-            ("sharded", Schedule::Sharded(&pool, ShardSpec::new(2))),
             ("per-root", Schedule::PerRoot(&pool)),
-            ("stealing", Schedule::Fine(&pool, SchedStrategy::Stealing)),
-            ("assisting", Schedule::Fine(&pool, SchedStrategy::Assisting)),
+            ("stealing", Schedule::Fine(&pool)),
         ];
         let counters = |s: &RunStats| {
             [
@@ -1522,12 +1150,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
             let sink = CollectingSink::new();
-            let stats = run_all(
-                &plan,
-                Schedule::Fine(&pool, SchedStrategy::Stealing),
-                &g,
-                &sink,
-            );
+            let stats = run_all(&plan, Schedule::Fine(&pool), &g, &sink);
             assert_eq!(
                 reference.canonical_cycles(),
                 sink.canonical_cycles(),
@@ -1538,8 +1161,7 @@ mod tests {
     }
 
     /// Early termination: the sink stops the run under every schedule, and
-    /// drained claim loops must still let the scope finish (no wedged
-    /// coordinator).
+    /// the scope still finishes.
     #[test]
     fn early_termination_stops_every_schedule() {
         let g = generators::fig4a_exponential_cycles(12);
@@ -1547,10 +1169,8 @@ mod tests {
         let pool = ThreadPool::new(2);
         for schedule in [
             Schedule::Sequential,
-            Schedule::Sharded(&pool, ShardSpec::new(2)),
             Schedule::PerRoot(&pool),
-            Schedule::Fine(&pool, SchedStrategy::Stealing),
-            Schedule::Fine(&pool, SchedStrategy::Assisting),
+            Schedule::Fine(&pool),
         ] {
             let sink = FirstKSink::new(3);
             run_all(&plan, schedule, &g, &sink);
@@ -1567,7 +1187,7 @@ mod tests {
         let g = generators::hub_burst(2, 13);
         let expected = generators::hub_burst_cycle_count(2, 13);
         let pool = ThreadPool::new(4);
-        let fine = Schedule::Fine(&pool, SchedStrategy::Stealing);
+        let fine = Schedule::Fine(&pool);
         let sink = CountingSink::new();
         let stats = run_all(
             &simple(SimpleCycleOptions::unconstrained()),
@@ -1605,96 +1225,6 @@ mod tests {
         let plan = temporal(TemporalCycleOptions::with_window(1_000));
         run_all(&plan, fine, &g, &sink);
         assert_eq!(sink.count(), expected);
-    }
-
-    /// The work-assisting strategy is a drop-in replacement for stealing:
-    /// identical reported cycles at every thread count, and join events
-    /// instead of steal events.
-    #[test]
-    fn assist_matches_stealing_at_every_thread_count() {
-        for (seed, delta) in [(1_401, 20), (1_402, 35)] {
-            let g = generators::uniform_temporal(RandomTemporalConfig {
-                num_vertices: 18,
-                num_edges: 90,
-                time_span: 60,
-                seed,
-            });
-            for plan in [
-                simple(SimpleCycleOptions::with_window(delta)),
-                temporal(TemporalCycleOptions::with_window(delta)),
-            ] {
-                let seq = CollectingSink::new();
-                run_all(&plan, Schedule::Sequential, &g, &seq);
-                for threads in [1, 2, 4] {
-                    let pool = ThreadPool::new(threads);
-                    let steal = CollectingSink::new();
-                    let steal_stats = run_all(
-                        &plan,
-                        Schedule::Fine(&pool, SchedStrategy::Stealing),
-                        &g,
-                        &steal,
-                    );
-                    let assist = CollectingSink::new();
-                    let assist_stats = run_all(
-                        &plan,
-                        Schedule::Fine(&pool, SchedStrategy::Assisting),
-                        &g,
-                        &assist,
-                    );
-                    let case = format!("seed {seed} threads {threads} {:?}", plan.kind);
-                    assert_eq!(seq.canonical_cycles(), assist.canonical_cycles(), "{case}");
-                    assert_eq!(
-                        steal.canonical_cycles(),
-                        assist.canonical_cycles(),
-                        "{case}"
-                    );
-                    // Same expansion body => identical copy counts; only the
-                    // scheduling counters differ in kind.
-                    assert_eq!(
-                        steal_stats.work.total_copies(),
-                        assist_stats.work.total_copies()
-                    );
-                    assert_eq!(assist_stats.work.total_steals(), 0);
-                    assert!(assist_stats.work.total_joins() > 0);
-                    assert_eq!(steal_stats.work.total_joins(), 0);
-                }
-            }
-        }
-    }
-
-    /// The assisting analogue of `hub_burst_work_is_spread_across_workers`:
-    /// where stealing records steals on the single-root burst, assisting must
-    /// record assists (a second worker joining an active claim loop).
-    /// Requires real parallelism, so it is skipped on a 1-core executor;
-    /// joining hub workers race real work, so a handful of attempts are
-    /// allowed before declaring the scheduler broken.
-    #[test]
-    fn hub_burst_assisting_records_assists() {
-        let g = generators::hub_burst(2, 13);
-        let expected = generators::hub_burst_cycle_count(2, 13);
-        let plan = simple(SimpleCycleOptions::unconstrained());
-        let pool = ThreadPool::new(4);
-        let assisting = Schedule::Fine(&pool, SchedStrategy::Assisting);
-        if pce_sched::available_parallelism() < 2 {
-            // Still check correctness single-threaded before skipping.
-            let sink = CountingSink::new();
-            run_all(&plan, assisting, &g, &sink);
-            assert_eq!(sink.count(), expected);
-            eprintln!("skipping assist-spread assertion: single-core executor");
-            return;
-        }
-        let mut last_assists = 0;
-        for attempt in 0..5 {
-            let sink = CountingSink::new();
-            let stats = run_all(&plan, assisting, &g, &sink);
-            assert_eq!(sink.count(), expected, "attempt {attempt}");
-            assert_eq!(stats.work.total_steals(), 0);
-            last_assists = stats.work.total_assists();
-            if last_assists > 0 {
-                return;
-            }
-        }
-        panic!("no assists recorded in 5 hub-burst runs (last={last_assists})");
     }
 
     #[test]

@@ -77,26 +77,32 @@ pub enum Granularity {
     FineGrained,
 }
 
-/// How idle workers engage a fine-grained parallel pass.
+/// The scheduler fine-grained parallel passes run on: always the pool's
+/// work-stealing deques (the paper's copy-on-steal discipline).
 ///
-/// Orthogonal to [`Granularity`]: granularity decides how the search is *cut*
-/// into units, the strategy decides how idle workers *acquire* them. Only the
-/// fine-grained delta passes (and the streaming engine's deferred fan-out)
-/// consult it; sequential and coarse-grained execution ignore it.
-///
-/// This is a runtime scheduling knob, deliberately **not** persisted in
-/// durable checkpoints: reports are byte-identical across strategies, so a
-/// replay under either strategy reconstructs the same state.
+/// Kept only because the `perfbench` benchmark names it; it goes in the next
+/// change that edits `perfbench/`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SchedStrategy {
-    /// Each branch becomes a boxed task on the pool's work-stealing deques;
-    /// idle workers steal (the paper's copy-on-steal discipline).
+    /// Each split-off branch is a boxed task on the pool's work-stealing
+    /// deques; idle workers steal.
     #[default]
     Stealing,
-    /// Branches are claimed from per-level packed-atomic
-    /// [`WorkAssistingLoop`](pce_sched::WorkAssistingLoop)s; idle workers
-    /// join an active loop in place instead of stealing boxed tasks.
-    Assisting,
+}
+
+/// A window-sharding layout with one shard: the sliding-window graph is not
+/// sharded.
+///
+/// Kept only because the `perfbench` benchmark names it; it goes in the next
+/// change that edits `perfbench/`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardSpec;
+
+impl ShardSpec {
+    /// The one layout there is.
+    pub const fn single() -> Self {
+        Self
+    }
 }
 
 /// Which cycle definition a query asks about.

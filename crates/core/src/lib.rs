@@ -11,7 +11,7 @@
 //! | Johnson | [`seq::johnson`] | [`par::coarse`] | [`par::fine_johnson`] |
 //! | Read-Tarjan | [`seq::read_tarjan`] | [`par::coarse`] | [`par::fine_read_tarjan`] |
 //! | Temporal (2SCENT-style) | [`seq::temporal`] | [`par::coarse`] | [`par::fine_temporal`] (in-place search, branches split off on demand for idle workers) |
-//! | Delta (max-edge-rooted, streaming; [`delta::run`]) | [`delta::Schedule::Sequential`] / [`delta::Schedule::Sharded`] | [`delta::Schedule::PerRoot`] | [`delta::Schedule::Fine`] |
+//! | Delta (max-edge-rooted, streaming; [`delta::run`]) | [`delta::Schedule::Sequential`] | [`delta::Schedule::PerRoot`] | [`delta::Schedule::Fine`] |
 //! | Multi-query subscriptions (one shared delta pass, per-query fan-out) | [`MultiStreamingEngine`] at [`Granularity::Sequential`] | … at [`Granularity::CoarseGrained`] (default) | … at [`Granularity::FineGrained`] (via [`MultiStreamingEngine::with_granularity`]) |
 //!
 //! All enumerators share the same problem definitions (see [`cycle`]), report
@@ -80,9 +80,9 @@ pub use cycle::{
 };
 pub use engine::{
     Algorithm, CollectMode, CycleKind, CycleStream, Engine, EnumerationError, EnumerationResult,
-    Granularity, Query, SchedStrategy,
+    Granularity, Query, SchedStrategy, ShardSpec,
 };
-pub use metrics::{LatencyStats, RunStats, ShardStats, WorkMetrics, WorkSnapshot, WorkerWork};
+pub use metrics::{LatencyStats, RunStats, WorkMetrics, WorkSnapshot, WorkerWork};
 pub use options::{SimpleCycleOptions, TemporalCycleOptions};
 pub use streaming::{
     BatchReport, CohortBatchStats, CohortKey, FanOutReport, FanOutStrategy, MultiBatchReport,
@@ -90,13 +90,10 @@ pub use streaming::{
     SubscriptionIndex, SubscriptionSnapshot, PARALLEL_FAN_OUT_SUBS,
 };
 
-// Predicate and sharding types surface in the streaming API
-// (`StreamingQuery::predicate`, `StreamingQuery::cycle_predicate`,
-// `CohortKey::predicate`, `StreamingQuery::shards`), so re-export them at
-// the root alongside it.
-pub use pce_graph::{
-    CyclePredicate, EdgePredicate, LabelFilter, Position, ShardSpec, VertexFilter,
-};
+// Predicate types surface in the streaming API (`StreamingQuery::predicate`,
+// `StreamingQuery::cycle_predicate`, `CohortKey::predicate`), so re-export
+// them at the root alongside it.
+pub use pce_graph::{CyclePredicate, EdgePredicate, LabelFilter, Position, VertexFilter};
 
 // Re-export the substrate crates so downstream users can depend on `pce-core`
 // alone.

@@ -21,8 +21,6 @@ struct WorkerBlock {
     recursive_calls: AtomicU64,
     copy_events: AtomicU64,
     steal_events: AtomicU64,
-    join_events: AtomicU64,
-    assist_events: AtomicU64,
     unblock_ops: AtomicU64,
     roots_processed: AtomicU64,
     union_members: AtomicU64,
@@ -102,26 +100,6 @@ impl WorkMetrics {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one work-assisting loop join (the worker entered a packed
-    /// claim loop — see `pce_sched::WorkAssistingLoop`). Every participant
-    /// of an assisting pass records one join per loop it enters.
-    #[inline]
-    pub fn join_event(&self, worker: usize) {
-        self.slot(worker)
-            .join_events
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one *assist*: a join into a loop another worker was already
-    /// running — the work-assisting counterpart of a successful steal
-    /// ([`WorkMetrics::steal_event`]).
-    #[inline]
-    pub fn assist_event(&self, worker: usize) {
-        self.slot(worker)
-            .assist_events
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one (recursive) unblock operation.
     #[inline]
     pub fn unblock_op(&self, worker: usize) {
@@ -197,8 +175,6 @@ impl WorkMetrics {
                     recursive_calls: w.recursive_calls.load(Ordering::Relaxed),
                     copy_events: w.copy_events.load(Ordering::Relaxed),
                     steal_events: w.steal_events.load(Ordering::Relaxed),
-                    join_events: w.join_events.load(Ordering::Relaxed),
-                    assist_events: w.assist_events.load(Ordering::Relaxed),
                     unblock_ops: w.unblock_ops.load(Ordering::Relaxed),
                     roots_processed: w.roots_processed.load(Ordering::Relaxed),
                     union_members: w.union_members.load(Ordering::Relaxed),
@@ -225,11 +201,6 @@ pub struct WorkerWork {
     pub copy_events: u64,
     /// Branches stolen from other workers.
     pub steal_events: u64,
-    /// Work-assisting loops joined (any join, including opening one).
-    pub join_events: u64,
-    /// Work-assisting loops joined while another worker was already running
-    /// them — the assisting counterpart of `steal_events`.
-    pub assist_events: u64,
     /// Unblock operations performed.
     pub unblock_ops: u64,
     /// Root edges processed.
@@ -273,18 +244,6 @@ impl WorkSnapshot {
     /// Total successful branch steals.
     pub fn total_steals(&self) -> u64 {
         self.workers.iter().map(|w| w.steal_events).sum()
-    }
-
-    /// Total work-assisting loop joins.
-    pub fn total_joins(&self) -> u64 {
-        self.workers.iter().map(|w| w.join_events).sum()
-    }
-
-    /// Total assists (joins into loops another worker was already running).
-    /// The work-assisting scheduler's analogue of [`WorkSnapshot::total_steals`]:
-    /// nonzero exactly when a second worker engaged an active loop mid-flight.
-    pub fn total_assists(&self) -> u64 {
-        self.workers.iter().map(|w| w.assist_events).sum()
     }
 
     /// Total unblock operations.
@@ -426,22 +385,6 @@ impl LatencyStats {
     }
 }
 
-/// Per-shard attribution of one sharded delta pass: which slice of the
-/// batch's roots a shard owned and how many cycles closed there. The shard
-/// that owns a cycle's maximum-edge root reports it, so summing `cycles`
-/// over all shards equals the run's total — cross-shard paths are attributed
-/// to the shard of their closing edge, never double-counted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardStats {
-    /// Shard index in `0..shards`.
-    pub shard: usize,
-    /// Batch roots whose source vertex this shard owns.
-    pub roots: u64,
-    /// Cycles closed by this shard's roots (including cross-shard cycles —
-    /// the closing edge decides ownership).
-    pub cycles: u64,
-}
-
 /// The result summary returned by every enumerator: cycle count, wall-clock
 /// time and the work snapshot, tagged with what actually ran.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -461,11 +404,6 @@ pub struct RunStats {
     /// The granularity that effectively executed (see
     /// [`RunStats::algorithm`]).
     pub granularity: Option<Granularity>,
-    /// Per-shard root/cycle attribution. Empty for unsharded runs (every
-    /// driver except the sharded streaming pass); one entry per shard,
-    /// indexed by shard id, when a [`ShardSpec`](pce_graph::ShardSpec) with
-    /// `shards > 1` drove the pass.
-    pub shards: Vec<ShardStats>,
 }
 
 impl RunStats {
@@ -500,9 +438,6 @@ mod tests {
         m.recursive_call(1);
         m.copy_event(2);
         m.steal_event(2);
-        m.join_event(0);
-        m.join_event(1);
-        m.assist_event(1);
         m.unblock_op(0);
         m.root_processed(0);
         m.union_members(0, 3);
@@ -521,8 +456,6 @@ mod tests {
         assert_eq!(s.total_recursive_calls(), 1);
         assert_eq!(s.total_copies(), 1);
         assert_eq!(s.total_steals(), 1);
-        assert_eq!(s.total_joins(), 2);
-        assert_eq!(s.total_assists(), 1);
         assert_eq!(s.total_unblocks(), 1);
         assert_eq!(s.total_roots(), 1);
         assert_eq!(s.workers[1].edge_visits, 10);

@@ -39,6 +39,7 @@ use crate::options::TemporalCycleOptions;
 use crate::seq::RootScratch;
 use crate::util::FxHashSet;
 use crate::{Algorithm, Granularity};
+use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{AdjEntry, EdgeId, TemporalGraph, TimeWindow, Timestamp, VertexId};
@@ -65,8 +66,9 @@ struct Shared<'g, S> {
     /// a new split while no earlier one is waiting for it.
     waiting: AtomicUsize,
     /// One search state per worker. A worker runs one task at a time, so its
-    /// slot is never contended.
-    workers: Vec<Mutex<WorkerState<'g>>>,
+    /// slot is never contended. Padded so that one worker's frame and path
+    /// writes do not invalidate the cache line holding a neighbour's state.
+    workers: Vec<CachePadded<Mutex<WorkerState<'g>>>>,
 }
 
 /// A worker's reusable search state.
@@ -378,10 +380,10 @@ fn run_fine_temporal<S: CycleSink>(
         waiting: AtomicUsize::new(0),
         workers: (0..threads)
             .map(|_| {
-                Mutex::new(WorkerState {
+                CachePadded::new(Mutex::new(WorkerState {
                     buf: Buffers::default(),
                     scratch: RootScratch::new(graph.num_vertices()),
-                })
+                }))
             })
             .collect(),
     };

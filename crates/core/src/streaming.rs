@@ -88,8 +88,8 @@ use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use pce_graph::stream::{SlidingWindowGraph, StreamError};
 use pce_graph::{
-    Amount, CyclePredicate, EdgeId, EdgePredicate, GraphView, Label, ShardSpec, TemporalEdge,
-    TemporalGraph, TimeWindow, Timestamp, VertexFilter, VertexId,
+    Amount, CyclePredicate, EdgeId, EdgePredicate, GraphView, Label, TemporalEdge, TemporalGraph,
+    TimeWindow, Timestamp, VertexFilter, VertexId,
 };
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -165,13 +165,11 @@ impl From<EnumerationError> for StreamingError {
 pub struct StreamingQuery {
     kind: CycleKind,
     granularity: Granularity,
-    sched: SchedStrategy,
     window_delta: Timestamp,
     max_len: Option<usize>,
     include_self_loops: bool,
     collect: CollectMode,
     predicate: CyclePredicate,
-    shards: ShardSpec,
 }
 
 impl StreamingQuery {
@@ -184,13 +182,11 @@ impl StreamingQuery {
         Self {
             kind: CycleKind::Simple,
             granularity: Granularity::CoarseGrained,
-            sched: SchedStrategy::default(),
             window_delta: delta,
             max_len: None,
             include_self_loops: false,
             collect: CollectMode::Collect,
             predicate: CyclePredicate::pass_all(),
-            shards: ShardSpec::single(),
         }
     }
 
@@ -222,19 +218,12 @@ impl StreamingQuery {
         self
     }
 
-    /// Selects how idle workers engage the batch's fine-grained delta pass:
-    /// work-[`Stealing`](SchedStrategy::Stealing) (the default — each branch
-    /// is a boxed task on the pool's deques) or
-    /// work-[`Assisting`](SchedStrategy::Assisting) (branches are claimed
-    /// from per-level packed-atomic loops that idle workers join in place).
+    /// Accepts and ignores a [`SchedStrategy`]: fine-grained passes always
+    /// run on the pool's work-stealing deques.
     ///
-    /// Only consulted for [`Granularity::FineGrained`] on a multi-threaded
-    /// engine; other granularities ignore it. Reported cycles are
-    /// byte-identical either way — the strategy is a scheduling knob, which
-    /// is also why it is **not** persisted in durable checkpoints: a replay
-    /// under either strategy reconstructs the same state.
-    pub fn sched(mut self, strategy: SchedStrategy) -> Self {
-        self.sched = strategy;
+    /// Kept only because the `perfbench` benchmark calls it; it goes in the
+    /// next change that edits `perfbench/`.
+    pub fn sched(self, _strategy: SchedStrategy) -> Self {
         self
     }
 
@@ -308,12 +297,6 @@ impl StreamingQuery {
         self.granularity
     }
 
-    /// The scheduling strategy fine-grained passes run under (see
-    /// [`StreamingQuery::sched`]).
-    pub fn sched_strategy(&self) -> SchedStrategy {
-        self.sched
-    }
-
     /// The enumeration window size δ.
     pub fn window_delta(&self) -> Timestamp {
         self.window_delta
@@ -348,23 +331,6 @@ impl StreamingQuery {
     /// ([`CyclePredicate::pass_all`] when none were).
     pub fn extended_predicate(&self) -> &CyclePredicate {
         &self.predicate
-    }
-
-    /// Partitions the engine's sliding-window ingest (and, for
-    /// [`Granularity::Sequential`] queries on a multi-threaded engine, the
-    /// per-batch delta pass) across `spec` shards — see
-    /// [`ShardSpec`] and the sharding section of the [module docs](self).
-    /// Purely a parallelism knob: reported cycles are byte-identical for
-    /// every shard count. Defaults to [`ShardSpec::single`] (today's
-    /// unsharded path, exactly).
-    pub fn shards(mut self, spec: ShardSpec) -> Self {
-        self.shards = spec;
-        self
-    }
-
-    /// The shard layout this query asks its [`StreamingEngine`] to run with.
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.shards
     }
 
     /// Checks the query for values that can never return anything and for
@@ -433,27 +399,17 @@ fn delta_plan(
 /// granularity, degraded to sequential when there is nothing to parallelise
 /// over. Per-root degrades on single-root batches (one task per root cannot
 /// occupy a second worker); fine-grained splits *within* a root, so a single
-/// hot root is exactly where it must stay parallel. A sequential request on
-/// a sharded, multi-threaded engine runs shard-parallel — each shard owns
-/// the roots whose source vertex it stores — while coarse and fine already
-/// decompose below shard level and ignore the layout. Only a parallel
+/// hot root is exactly where it must stay parallel. Only a parallel
 /// schedule touches the engine's lazily created pool.
-fn schedule_for(
-    engine: &Engine,
-    granularity: Granularity,
-    sched: SchedStrategy,
-    shards: ShardSpec,
-    batch_roots: usize,
-) -> Schedule<'_> {
+fn schedule_for(engine: &Engine, granularity: Granularity, batch_roots: usize) -> Schedule<'_> {
     if engine.threads() <= 1 || batch_roots == 0 {
         return Schedule::Sequential;
     }
     match granularity {
-        Granularity::Sequential if shards.is_single() => Schedule::Sequential,
-        Granularity::Sequential => Schedule::Sharded(engine.pool(), shards),
+        Granularity::Sequential => Schedule::Sequential,
         Granularity::CoarseGrained if batch_roots <= 1 => Schedule::Sequential,
         Granularity::CoarseGrained => Schedule::PerRoot(engine.pool()),
-        Granularity::FineGrained => Schedule::Fine(engine.pool(), sched),
+        Granularity::FineGrained => Schedule::Fine(engine.pool()),
     }
 }
 
@@ -626,10 +582,9 @@ impl StreamingEngine {
                 retention,
             });
         }
-        let shards = query.shards;
         Ok(Self {
             engine: Engine::with_threads(threads),
-            graph: SlidingWindowGraph::with_shards(retention, shards),
+            graph: SlidingWindowGraph::new(retention),
             plan: query.plan(),
             query,
             scratches: Vec::new(),
@@ -645,9 +600,7 @@ impl StreamingEngine {
     /// the stream — fully intact.
     pub fn ingest(&mut self, batch: &[TemporalEdge]) -> Result<BatchReport, StreamingError> {
         let t0 = Instant::now();
-        let pool = (self.engine.threads() > 1 && !self.graph.shard_spec().is_single())
-            .then(|| self.engine.pool().as_ref());
-        let ingested = self.graph.append_batch_on(batch, pool)?;
+        let ingested = self.graph.append_batch(batch)?;
         let ingest_secs = t0.elapsed().as_secs_f64();
 
         // `window_delta <= retention` (enforced at construction) guarantees
@@ -659,13 +612,7 @@ impl StreamingEngine {
         // boundaries: a cycle is announced exactly when its closing edge
         // arrives, no matter how the stream is chopped.
         let t1 = Instant::now();
-        let schedule = schedule_for(
-            &self.engine,
-            self.query.granularity,
-            self.query.sched,
-            self.graph.shard_spec(),
-            ingested.roots.len(),
-        );
+        let schedule = schedule_for(&self.engine, self.query.granularity, ingested.roots.len());
         let (cycles, stats) = match self.query.collect {
             CollectMode::Collect => {
                 let sink = CollectingSink::new();
@@ -1573,23 +1520,17 @@ impl CycleSink for BufferingFanOutSink<'_> {
 /// dispatch. Tasks of one cohort share that cohort's group accumulators
 /// (atomic counts, mutex-guarded cycle lists), and each task adds its busy
 /// time to its cohort's counters so per-cohort dispatch cost stays visible.
-///
-/// Under [`SchedStrategy::Assisting`] the same task grid is claimed from one
-/// [`pce_sched::WorkAssistingLoop`] instead of a [`pce_sched::DynamicCounter`]
-/// behind scope tasks, and the returned stats carry the loop's join/assist
-/// counts (always zero for the stealing dispatcher).
 fn dispatch_deferred(
     pool: &pce_sched::ThreadPool,
-    sched: SchedStrategy,
     index: &SubscriptionIndex,
     candidates: &[BufferedCandidate],
     accums: &[Vec<GroupAccum>],
     counters: &[CohortCounters],
-) -> pce_sched::AssistingForStats {
+) {
     let chunks = candidates.len().div_ceil(FAN_OUT_CHUNK);
     let cohorts = index.cohorts.len();
     if chunks == 0 || cohorts == 0 {
-        return pce_sched::AssistingForStats::default();
+        return;
     }
     let body = |_worker: usize, task: usize| {
         let ci = task / chunks;
@@ -1612,13 +1553,7 @@ fn dispatch_deferred(
             .busy_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     };
-    match sched {
-        SchedStrategy::Stealing => {
-            pce_sched::parallel_for_dynamic(pool, chunks * cohorts, 1, body);
-            pce_sched::AssistingForStats::default()
-        }
-        SchedStrategy::Assisting => pce_sched::work_assisting_for(pool, chunks * cohorts, 1, body),
-    }
+    pce_sched::parallel_for_dynamic(pool, chunks * cohorts, 1, body);
 }
 
 /// Per-cohort accounting of one batch's fan-out (indexed strategy only — the
@@ -1665,13 +1600,6 @@ pub struct FanOutReport {
     /// ran inline; inline dispatch is part of
     /// [`MultiBatchReport::enumerate_secs`] either way).
     pub fan_out_secs: f64,
-    /// Workers that joined the deferred dispatch's work-assisting loop
-    /// (nonzero only when the engine runs [`SchedStrategy::Assisting`] and
-    /// the batch dispatched deferred; the stealing dispatcher reports 0).
-    pub joins: u64,
-    /// Joins that engaged an already-active loop — the assisting analogue of
-    /// a steal (subset of [`FanOutReport::joins`]).
-    pub assists: u64,
     /// Per-cohort accounting rows (empty for the naive strategy).
     pub cohorts: Vec<CohortBatchStats>,
 }
@@ -1683,8 +1611,6 @@ impl FanOutReport {
             parallel: false,
             checks: 0,
             fan_out_secs: 0.0,
-            joins: 0,
-            assists: 0,
             cohorts: Vec::new(),
         }
     }
@@ -1795,7 +1721,6 @@ pub struct MultiStreamingEngine {
     graph: SlidingWindowGraph,
     retention: Timestamp,
     granularity: Granularity,
-    sched: SchedStrategy,
     strategy: FanOutStrategy,
     subs: Vec<Subscription>,
     /// The constraint index over `subs`, maintained incrementally by
@@ -1845,7 +1770,6 @@ impl MultiStreamingEngine {
             graph: SlidingWindowGraph::new(retention),
             retention,
             granularity: Granularity::CoarseGrained,
-            sched: SchedStrategy::default(),
             strategy: FanOutStrategy::default(),
             subs: Vec::new(),
             index: SubscriptionIndex::new(),
@@ -1856,32 +1780,6 @@ impl MultiStreamingEngine {
             scratches: Vec::new(),
             batches: 0,
         })
-    }
-
-    /// Partitions the engine's sliding-window ingest (and, for
-    /// [`Granularity::Sequential`] passes on a multi-threaded engine, the
-    /// shared delta pass) across `spec` shards. Purely a parallelism knob:
-    /// per-query reports are byte-identical for every shard count, and a
-    /// subscription query's own [`StreamingQuery::shards`] setting is
-    /// ignored here — the engine-level layout governs the shared graph.
-    ///
-    /// Must be called before the first batch is ingested (the shard layout
-    /// determines how the window's adjacency is stored).
-    ///
-    /// # Panics
-    /// Panics if any batch has already been ingested.
-    pub fn with_shards(mut self, spec: ShardSpec) -> Self {
-        assert_eq!(
-            self.batches, 0,
-            "shard layout must be chosen before the first batch"
-        );
-        self.graph = SlidingWindowGraph::with_shards(self.retention, spec);
-        self
-    }
-
-    /// The shard layout of the engine's sliding-window graph.
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.graph.shard_spec()
     }
 
     /// Sets the portfolio size from which [`FanOutStrategy::Indexed`] defers
@@ -1908,23 +1806,6 @@ impl MultiStreamingEngine {
     pub fn with_granularity(mut self, granularity: Granularity) -> Self {
         self.granularity = granularity;
         self
-    }
-
-    /// Selects how idle workers engage the shared pass's fine-grained delta
-    /// run *and* the deferred parallel fan-out (the same knob as
-    /// [`StreamingQuery::sched`], but engine-wide): work-stealing boxed tasks
-    /// (the default) or packed-atomic work-assisting loops. Per-query reports
-    /// are byte-identical either way — each strategy is the other's
-    /// differential oracle — and the setting is not part of durable
-    /// checkpoints.
-    pub fn with_sched(mut self, sched: SchedStrategy) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// The active scheduling strategy (see [`with_sched`](Self::with_sched)).
-    pub fn sched_strategy(&self) -> SchedStrategy {
-        self.sched
     }
 
     /// Selects how candidates of the shared pass are routed to subscriptions
@@ -2173,9 +2054,7 @@ impl MultiStreamingEngine {
     /// [`subscribe`](Self::subscribe) for the exact semantics).
     pub fn ingest(&mut self, batch: &[TemporalEdge]) -> Result<MultiBatchReport, StreamingError> {
         let t0 = Instant::now();
-        let pool = (self.engine.threads() > 1 && !self.graph.shard_spec().is_single())
-            .then(|| self.engine.pool().as_ref());
-        let ingested = self.graph.append_batch_on(batch, pool)?;
+        let ingested = self.graph.append_batch(batch)?;
         let ingest_secs = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
@@ -2193,13 +2072,7 @@ impl MultiStreamingEngine {
                     pass.predicate = CyclePredicate::pass_all();
                 }
                 let plan = pass.into_plan();
-                let schedule = schedule_for(
-                    &self.engine,
-                    self.granularity,
-                    self.sched,
-                    self.graph.shard_spec(),
-                    ingested.roots.len(),
-                );
+                let schedule = schedule_for(&self.engine, self.granularity, ingested.roots.len());
                 match self.strategy {
                     FanOutStrategy::Naive => {
                         let sink = FanOutSink::new(&self.graph, &self.subs);
@@ -2231,8 +2104,6 @@ impl MultiStreamingEngine {
                             parallel: false,
                             checks: sink.checks.load(Ordering::Relaxed),
                             fan_out_secs: 0.0,
-                            joins: 0,
-                            assists: 0,
                             cohorts: Vec::new(),
                         };
                         (per_query, candidates, stats, fan_out)
@@ -2246,60 +2117,50 @@ impl MultiStreamingEngine {
                         // pass avoids buffering the candidates.
                         let deferred =
                             self.engine.threads() > 1 && self.subs.len() >= self.fan_out_threshold;
-                        let (stats, candidates, fan_out_secs, parallel, dispatch_stats) =
-                            if deferred {
-                                let sink =
-                                    BufferingFanOutSink::new(&self.graph, self.engine.threads());
-                                let stats = delta::run(
-                                    &plan,
-                                    schedule,
-                                    &self.graph,
-                                    ingested.roots.clone(),
-                                    &sink,
-                                    &mut self.scratches,
-                                );
-                                let buffered = sink.into_candidates();
-                                let t_fan = Instant::now();
-                                let dispatch_stats = dispatch_deferred(
-                                    self.engine.pool(),
-                                    self.sched,
-                                    &self.index,
-                                    &buffered,
-                                    &accums,
-                                    &counters,
-                                );
-                                (
-                                    stats,
-                                    buffered.len() as u64,
-                                    t_fan.elapsed().as_secs_f64(),
-                                    !buffered.is_empty(),
-                                    dispatch_stats,
-                                )
-                            } else {
-                                let sink = IndexedFanOutSink {
-                                    graph: &self.graph,
-                                    index: &self.index,
-                                    accums: &accums,
-                                    counters: &counters,
-                                    candidates: AtomicU64::new(0),
-                                };
-                                let stats = delta::run(
-                                    &plan,
-                                    schedule,
-                                    &self.graph,
-                                    ingested.roots.clone(),
-                                    &sink,
-                                    &mut self.scratches,
-                                );
-                                let candidates = sink.candidates.load(Ordering::Relaxed);
-                                (
-                                    stats,
-                                    candidates,
-                                    0.0,
-                                    false,
-                                    pce_sched::AssistingForStats::default(),
-                                )
+                        let (stats, candidates, fan_out_secs, parallel) = if deferred {
+                            let sink = BufferingFanOutSink::new(&self.graph, self.engine.threads());
+                            let stats = delta::run(
+                                &plan,
+                                schedule,
+                                &self.graph,
+                                ingested.roots.clone(),
+                                &sink,
+                                &mut self.scratches,
+                            );
+                            let buffered = sink.into_candidates();
+                            let t_fan = Instant::now();
+                            dispatch_deferred(
+                                self.engine.pool(),
+                                &self.index,
+                                &buffered,
+                                &accums,
+                                &counters,
+                            );
+                            (
+                                stats,
+                                buffered.len() as u64,
+                                t_fan.elapsed().as_secs_f64(),
+                                !buffered.is_empty(),
+                            )
+                        } else {
+                            let sink = IndexedFanOutSink {
+                                graph: &self.graph,
+                                index: &self.index,
+                                accums: &accums,
+                                counters: &counters,
+                                candidates: AtomicU64::new(0),
                             };
+                            let stats = delta::run(
+                                &plan,
+                                schedule,
+                                &self.graph,
+                                ingested.roots.clone(),
+                                &sink,
+                                &mut self.scratches,
+                            );
+                            let candidates = sink.candidates.load(Ordering::Relaxed);
+                            (stats, candidates, 0.0, false)
+                        };
                         // Distribute group results to members: one resolution
                         // per group, cloned only into collecting members.
                         let mut per_query: Vec<(u64, Vec<StreamCycle>)> =
@@ -2349,8 +2210,6 @@ impl MultiStreamingEngine {
                             parallel,
                             checks: cohorts.iter().map(|c| c.checks).sum(),
                             fan_out_secs,
-                            joins: dispatch_stats.joins,
-                            assists: dispatch_stats.assists,
                             cohorts,
                         };
                         (per_query, candidates, stats, fan_out)

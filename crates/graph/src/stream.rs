@@ -37,149 +37,13 @@
 //! are only stable **until the next append**. The streaming engine in
 //! `pce-core` runs its delta query between appends and resolves cycles to
 //! concrete [`TemporalEdge`]s immediately, so nothing outlives a batch.
-//!
-//! # Sharded ingest
-//!
-//! A [`ShardSpec`] partitions the graph's *adjacency* across `S` shards by
-//! vertex hash (`v mod S`): shard `s` owns the out- and in-lists of every
-//! vertex it owns, so per-shard append and compaction touch disjoint memory
-//! and run in parallel on a caller-provided `pce-sched` pool
-//! ([`SlidingWindowGraph::append_batch_on`]). The edge arena, watermark,
-//! expiry cursor and compaction policy stay **global and identical for every
-//! `S`** — dense edge ids, the window, and every [`GraphView`] answer are
-//! byte-identical to the unsharded graph by construction, which is what lets
-//! the sharded streaming engine in `pce-core` promise `S`-independent
-//! results. A backward search crossing a shard boundary simply reads the
-//! sibling shard's (immutable between appends) adjacency — the shared-memory
-//! form of a boundary-frontier exchange.
 
 use crate::builder::GraphBuilder;
 use crate::temporal::{AdjEntry, TemporalGraph};
 use crate::types::{EdgeId, TemporalEdge, Timestamp, VertexId};
 use crate::view::GraphView;
 use crate::window::TimeWindow;
-use pce_sched::ThreadPool;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
-
-/// How a [`SlidingWindowGraph`] partitions its adjacency across parallel
-/// ingest shards: vertex `v` is owned by shard `v mod shards` (hash-by-vertex
-/// — cheap, stateless, and stable as the vertex universe grows).
-///
-/// Sharding is an ingest-parallelism knob, **not** a semantic one: every
-/// observable of the graph (edge ids, window, adjacency slices) is identical
-/// for every shard count, and `ShardSpec::single()` is exactly the unsharded
-/// graph. See the [module docs](self).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ShardSpec {
-    shards: usize,
-}
-
-impl ShardSpec {
-    /// A spec with `shards` shards.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "a shard spec needs at least one shard");
-        Self { shards }
-    }
-
-    /// The unsharded spec (`S = 1`).
-    pub const fn single() -> Self {
-        Self { shards: 1 }
-    }
-
-    /// Number of shards.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Whether this is the unsharded spec.
-    #[inline]
-    pub fn is_single(&self) -> bool {
-        self.shards == 1
-    }
-
-    /// The shard owning vertex `v`'s adjacency (and therefore every delta
-    /// root whose source is `v`).
-    #[inline]
-    pub fn owner(&self, v: VertexId) -> usize {
-        v as usize % self.shards
-    }
-
-    /// `v`'s index within its owner's local vertex table.
-    #[inline]
-    fn local(&self, v: VertexId) -> usize {
-        v as usize / self.shards
-    }
-}
-
-impl Default for ShardSpec {
-    fn default() -> Self {
-        Self::single()
-    }
-}
-
-/// One shard's slice of the adjacency: the out- and in-lists of every vertex
-/// the shard owns, indexed by [`ShardSpec::local`]. Disjoint from every other
-/// shard, so per-shard append/compaction tasks may run concurrently on
-/// `&mut` borrows obtained via `iter_mut()` — no locks, no unsafe.
-#[derive(Debug, Clone, Default)]
-struct ShardAdj {
-    out_adj: Vec<Vec<AdjEntry>>,
-    in_adj: Vec<Vec<AdjEntry>>,
-}
-
-impl ShardAdj {
-    /// Appends this shard's portion of a `(ts, src, dst)`-sorted batch whose
-    /// first edge gets dense id `first_id`: out-entries for owned sources,
-    /// in-entries for owned destinations. Scans the whole batch (each shard
-    /// filters its own edges), so the parallel span of an append is `O(b)`
-    /// regardless of shard count.
-    fn append(&mut self, spec: &ShardSpec, shard: usize, first_id: usize, sorted: &[TemporalEdge]) {
-        for (offset, e) in sorted.iter().enumerate() {
-            let id = (first_id + offset) as EdgeId;
-            if spec.owner(e.src) == shard {
-                self.out_adj[spec.local(e.src)].push(AdjEntry {
-                    neighbor: e.dst,
-                    ts: e.ts,
-                    edge: id,
-                });
-            }
-            if spec.owner(e.dst) == shard {
-                self.in_adj[spec.local(e.dst)].push(AdjEntry {
-                    neighbor: e.src,
-                    ts: e.ts,
-                    edge: id,
-                });
-            }
-        }
-    }
-
-    /// Drops every adjacency entry with `edge < drop_id` (the compacted dead
-    /// prefix) and re-bases the surviving ids.
-    fn compact(&mut self, drop_id: EdgeId) {
-        for adj in self.out_adj.iter_mut().chain(self.in_adj.iter_mut()) {
-            // Expired entries are exactly those with `edge < drop_id`, and
-            // they form a prefix of the `(ts, edge)`-sorted list.
-            let dead = adj.partition_point(|a| a.edge < drop_id);
-            adj.drain(..dead);
-            for a in adj.iter_mut() {
-                a.edge -= drop_id;
-            }
-        }
-    }
-
-    /// Grows the local vertex tables to `local_len` slots.
-    fn ensure_local(&mut self, local_len: usize) {
-        if self.out_adj.len() < local_len {
-            self.out_adj.resize_with(local_len, Vec::new);
-            self.in_adj.resize_with(local_len, Vec::new);
-        }
-    }
-}
 
 /// Errors produced by the streaming ingest path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -257,18 +121,15 @@ pub struct DeltaBatch {
 #[derive(Debug, Clone)]
 pub struct SlidingWindowGraph {
     retention: Timestamp,
-    spec: ShardSpec,
-    num_vertices: usize,
     /// All stored edges in id order: timestamps non-decreasing, sorted by
     /// `(ts, src, dst)` within a batch, arrival-ordered across batches;
     /// the prefix `[..expired]` is logically dead (below the window start).
-    /// Global across shards: dense ids — and everything derived from them —
-    /// are shard-count-independent.
     edges: Vec<TemporalEdge>,
     expired: usize,
-    /// Per-shard adjacency, indexed by [`ShardSpec::owner`]. One entry for
-    /// the unsharded graph.
-    shards: Vec<ShardAdj>,
+    /// Per-vertex out- and in-lists, indexed by vertex id and sorted by
+    /// `(ts, edge)`.
+    out_adj: Vec<Vec<AdjEntry>>,
+    in_adj: Vec<Vec<AdjEntry>>,
     /// Largest timestamp ever ingested; `Timestamp::MIN` before any append.
     watermark: Timestamp,
     total_ingested: u64,
@@ -283,35 +144,17 @@ impl SlidingWindowGraph {
     /// Panics if `retention < 0` (a negative retention would make every edge
     /// expire the moment it arrives).
     pub fn new(retention: Timestamp) -> Self {
-        Self::with_shards(retention, ShardSpec::single())
-    }
-
-    /// [`new`](Self::new) with the adjacency partitioned across `spec`
-    /// shards for parallel ingest via
-    /// [`append_batch_on`](Self::append_batch_on). The shard count never
-    /// affects observable state — see the [module docs](self).
-    ///
-    /// # Panics
-    /// Panics if `retention < 0`.
-    pub fn with_shards(retention: Timestamp, spec: ShardSpec) -> Self {
         assert!(retention >= 0, "retention must be non-negative");
         Self {
             retention,
-            spec,
-            num_vertices: 0,
             edges: Vec::new(),
             expired: 0,
-            shards: vec![ShardAdj::default(); spec.shards()],
+            out_adj: Vec::new(),
+            in_adj: Vec::new(),
             watermark: Timestamp::MIN,
             total_ingested: 0,
             total_expired: 0,
         }
-    }
-
-    /// The shard layout this graph was created with.
-    #[inline]
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.spec
     }
 
     /// The retention span `R`: edges live while their timestamp is at least
@@ -347,7 +190,7 @@ impl SlidingWindowGraph {
     /// this only grows).
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.out_adj.len()
     }
 
     /// The edges currently inside the window, in ascending `(ts, id)` order.
@@ -391,20 +234,6 @@ impl SlidingWindowGraph {
     /// out-of-order edge returns [`StreamError::OutOfOrder`] and leaves the
     /// graph untouched.
     pub fn append_batch(&mut self, batch: &[TemporalEdge]) -> Result<DeltaBatch, StreamError> {
-        self.append_batch_on(batch, None)
-    }
-
-    /// [`append_batch`](Self::append_batch), optionally running the
-    /// per-shard adjacency insertion and compaction as parallel tasks on
-    /// `pool` (one task per shard — the shards' memory is disjoint). With
-    /// `None`, a single shard, or a single-threaded pool this is exactly the
-    /// sequential append; either way the resulting graph state is identical,
-    /// because each shard deterministically filters the same sorted batch.
-    pub fn append_batch_on(
-        &mut self,
-        batch: &[TemporalEdge],
-        pool: Option<&ThreadPool>,
-    ) -> Result<DeltaBatch, StreamError> {
         // Validate before mutating anything so a failed append is a no-op.
         for e in batch {
             if e.ts < self.watermark {
@@ -416,7 +245,7 @@ impl SlidingWindowGraph {
         }
         // Compact *before* assigning ids so the returned root range stays
         // valid until the next append.
-        self.maybe_compact_on(pool);
+        self.maybe_compact();
 
         if batch.is_empty() {
             let at = self.edges.len() as EdgeId;
@@ -438,12 +267,9 @@ impl SlidingWindowGraph {
             .map(|e| e.src.max(e.dst) as usize + 1)
             .max()
             .unwrap_or(0);
-        if max_endpoint > self.num_vertices {
-            self.num_vertices = max_endpoint;
-            let local_len = max_endpoint.div_ceil(self.spec.shards());
-            for shard in &mut self.shards {
-                shard.ensure_local(local_len);
-            }
+        if max_endpoint > self.out_adj.len() {
+            self.out_adj.resize_with(max_endpoint, Vec::new);
+            self.in_adj.resize_with(max_endpoint, Vec::new);
         }
 
         let first_id = self.edges.len();
@@ -451,21 +277,18 @@ impl SlidingWindowGraph {
             first_id + sorted.len() <= EdgeId::MAX as usize,
             "sliding window exceeds the dense edge-id space"
         );
-        let spec = self.spec;
-        match pool {
-            Some(pool) if spec.shards() > 1 && pool.num_threads() > 1 => {
-                let sorted = &sorted;
-                pool.scope(|scope| {
-                    for (s, shard) in self.shards.iter_mut().enumerate() {
-                        scope.spawn(move |_, _| shard.append(&spec, s, first_id, sorted));
-                    }
-                });
-            }
-            _ => {
-                for (s, shard) in self.shards.iter_mut().enumerate() {
-                    shard.append(&spec, s, first_id, &sorted);
-                }
-            }
+        for (offset, e) in sorted.iter().enumerate() {
+            let id = (first_id + offset) as EdgeId;
+            self.out_adj[e.src as usize].push(AdjEntry {
+                neighbor: e.dst,
+                ts: e.ts,
+                edge: id,
+            });
+            self.in_adj[e.dst as usize].push(AdjEntry {
+                neighbor: e.src,
+                ts: e.ts,
+                edge: id,
+            });
         }
         self.edges.extend_from_slice(&sorted);
         self.total_ingested += sorted.len() as u64;
@@ -497,48 +320,28 @@ impl SlidingWindowGraph {
     /// in a different relative order than here — cycle *sets* are unaffected
     /// because enumeration only relies on timestamp-refining ids).
     pub fn snapshot(&self) -> TemporalGraph {
-        GraphBuilder::from_edges(self.num_vertices, self.live_edges().to_vec()).build()
+        GraphBuilder::from_edges(self.num_vertices(), self.live_edges().to_vec()).build()
     }
 
     /// Physically removes the logically-expired prefix once it outweighs the
-    /// live edges, re-basing dense ids. Amortised `O(1)` per ingested edge;
-    /// the per-shard adjacency rewrite parallelises on `pool` when one is
-    /// given (compaction policy and results are pool- and
-    /// shard-independent).
-    fn maybe_compact_on(&mut self, pool: Option<&ThreadPool>) {
+    /// live edges, re-basing dense ids. Amortised `O(1)` per ingested edge.
+    fn maybe_compact(&mut self) {
         let drop = self.expired;
         if drop == 0 || drop * 2 <= self.edges.len() {
             return;
         }
         self.edges.drain(..drop);
         let drop_id = drop as EdgeId;
-        match pool {
-            Some(pool) if self.spec.shards() > 1 && pool.num_threads() > 1 => {
-                pool.scope(|scope| {
-                    for shard in self.shards.iter_mut() {
-                        scope.spawn(move |_, _| shard.compact(drop_id));
-                    }
-                });
-            }
-            _ => {
-                for shard in self.shards.iter_mut() {
-                    shard.compact(drop_id);
-                }
+        for adj in self.out_adj.iter_mut().chain(self.in_adj.iter_mut()) {
+            // Expired entries are exactly those with `edge < drop_id`, and
+            // they form a prefix of the `(ts, edge)`-sorted list.
+            let dead = adj.partition_point(|a| a.edge < drop_id);
+            adj.drain(..dead);
+            for a in adj.iter_mut() {
+                a.edge -= drop_id;
             }
         }
         self.expired = 0;
-    }
-
-    /// The adjacency out-list of `v`, wherever its owner shard keeps it.
-    #[inline]
-    fn out_of(&self, v: VertexId) -> &[AdjEntry] {
-        &self.shards[self.spec.owner(v)].out_adj[self.spec.local(v)]
-    }
-
-    /// The adjacency in-list of `v`, wherever its owner shard keeps it.
-    #[inline]
-    fn in_of(&self, v: VertexId) -> &[AdjEntry] {
-        &self.shards[self.spec.owner(v)].in_adj[self.spec.local(v)]
     }
 
     fn window_slice(adj: &[AdjEntry], window: TimeWindow) -> &[AdjEntry] {
@@ -551,7 +354,7 @@ impl SlidingWindowGraph {
 impl GraphView for SlidingWindowGraph {
     #[inline]
     fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.out_adj.len()
     }
 
     #[inline]
@@ -561,12 +364,12 @@ impl GraphView for SlidingWindowGraph {
 
     #[inline]
     fn out_edges_in_window(&self, v: VertexId, window: TimeWindow) -> &[AdjEntry] {
-        Self::window_slice(self.out_of(v), window)
+        Self::window_slice(&self.out_adj[v as usize], window)
     }
 
     #[inline]
     fn in_edges_in_window(&self, v: VertexId, window: TimeWindow) -> &[AdjEntry] {
-        Self::window_slice(self.in_of(v), window)
+        Self::window_slice(&self.in_adj[v as usize], window)
     }
 
     #[inline]
@@ -845,67 +648,6 @@ mod tests {
         let b = g.append_batch(&edges(&[(0, 1, 5)])).unwrap();
         assert_eq!(g.window(), Some(TimeWindow::new(-5, 5)));
         assert_eq!(b.window, g.window());
-    }
-
-    /// A vertex-churning stream that exercises growth, expiry and compaction.
-    fn churn_stream() -> Vec<TemporalEdge> {
-        (0..180)
-            .map(|i| {
-                TemporalEdge::new(
-                    (i % 9) as VertexId,
-                    ((i * 5 + 2) % 11) as VertexId,
-                    (i / 3) as Timestamp,
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sharded_graphs_are_observably_identical_to_unsharded() {
-        let stream = churn_stream();
-        let mut base = SlidingWindowGraph::new(12);
-        let mut sharded: Vec<SlidingWindowGraph> = [2, 3, 4, 8]
-            .iter()
-            .map(|&s| SlidingWindowGraph::with_shards(12, ShardSpec::new(s)))
-            .collect();
-        for chunk in stream.chunks(10) {
-            let b0 = base.append_batch(chunk).unwrap();
-            for g in sharded.iter_mut() {
-                let b = g.append_batch(chunk).unwrap();
-                assert_eq!(b, b0, "DeltaBatch must be shard-count-independent");
-            }
-            let w = base.window().unwrap();
-            for g in &sharded {
-                assert_eq!(g.window(), base.window());
-                assert_eq!(g.live_edges(), base.live_edges());
-                assert_eq!(g.first_live_id(), base.first_live_id());
-                for v in 0..base.num_vertices() as VertexId {
-                    assert_eq!(g.out_edges_in_window(v, w), base.out_edges_in_window(v, w));
-                    assert_eq!(g.in_edges_in_window(v, w), base.in_edges_in_window(v, w));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_append_matches_sequential_append() {
-        let pool = ThreadPool::new(4);
-        let stream = churn_stream();
-        let spec = ShardSpec::new(4);
-        let mut seq = SlidingWindowGraph::with_shards(12, spec);
-        let mut par = SlidingWindowGraph::with_shards(12, spec);
-        for chunk in stream.chunks(17) {
-            let bs = seq.append_batch(chunk).unwrap();
-            let bp = par.append_batch_on(chunk, Some(&pool)).unwrap();
-            assert_eq!(bs, bp);
-            let w = seq.window().unwrap();
-            assert_eq!(par.window(), seq.window());
-            assert_eq!(par.live_edges(), seq.live_edges());
-            for v in 0..seq.num_vertices() as VertexId {
-                assert_eq!(par.out_edges_in_window(v, w), seq.out_edges_in_window(v, w));
-                assert_eq!(par.in_edges_in_window(v, w), seq.in_edges_in_window(v, w));
-            }
-        }
     }
 
     #[test]

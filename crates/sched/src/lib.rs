@@ -20,11 +20,6 @@
 //!   idle workers pick a victim and try to split a branch off it
 //!   (copy-on-steal happens inside the victim's own lock, owned by the
 //!   algorithm layer).
-//! * [`WorkAssistingLoop`] — the work-*assisting* alternative to boxed-task
-//!   stealing for flat data-parallel loops: one packed atomic carries the
-//!   claim index and the joined-worker count, so idle workers join an active
-//!   loop in place instead of stealing jobs off a deque (see the
-//!   [`assist`] module docs).
 //! * [`WorkerMetrics`] / [`PoolMetrics`] — per-worker busy time, task and
 //!   steal counters, used to regenerate the per-thread execution-time plot of
 //!   Figure 1 and the load-balance statistics of §8.
@@ -36,13 +31,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod assist;
 pub mod metrics;
 pub mod parallel;
 pub mod pool;
 pub mod registry;
 
-pub use assist::{work_assisting_for, AssistGuard, AssistingForStats, WorkAssistingLoop};
 pub use metrics::{PoolMetrics, WorkerMetrics};
 pub use parallel::{parallel_for_dynamic, DynamicCounter};
 pub use pool::{Scope, ThreadPool, WorkerCtx};

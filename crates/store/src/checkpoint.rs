@@ -19,6 +19,11 @@
 //!   edge constraints, and the vertex filter — so restored portfolios prune
 //!   and fan out exactly like the live engine did.
 //!
+//! Formats v3 and v4 also carry a shard count for the engine and one per
+//! subscription, from when the window could be sharded. The encoder writes 1
+//! into each of those slots; the decoder reads them, rejects a zero count as
+//! corruption and otherwise ignores them.
+//!
 //! The binary layout is hand-rolled like the batch encoding — magic
 //! `b"PCEC"`, version, fixed-width LE fields, and a trailing CRC32 over
 //! everything before it — so any torn or bit-flipped checkpoint decodes to a
@@ -26,7 +31,7 @@
 
 use pce_core::{
     CollectMode, CycleKind, CyclePredicate, EdgePredicate, FanOutStrategy, Granularity,
-    LabelFilter, Position, QueryId, ShardSpec, StreamingQuery, SubscriptionSnapshot, VertexFilter,
+    LabelFilter, Position, QueryId, StreamingQuery, SubscriptionSnapshot, VertexFilter,
 };
 use pce_graph::io::{crc32, IoError};
 use pce_graph::{Label, Timestamp, VertexId};
@@ -37,13 +42,11 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"PCEC";
 /// Current checkpoint format version. Version 4 appends each subscription's
 /// extended [`CyclePredicate`] record — total-amount interval, monotone
 /// flag, positional edge constraints, vertex filter — after its shard
-/// setting; pre-v4 queries could only express per-edge constraints, so
+/// count; pre-v4 queries could only express per-edge constraints, so
 /// earlier versions decode with every extended component restored pass-all
-/// (exactly the predicate those queries ran with). Version 3 records the
-/// engine's [`ShardSpec`] (ingest shard layout) after the next-query-id
-/// field and each subscription query's own shard setting after its
-/// predicate; earlier versions still decode, with every shard count restored
-/// as 1 — exactly the unsharded engine those checkpoints described. Version
+/// (exactly the predicate those queries ran with). Version 3 added a shard
+/// count after the next-query-id field and one after each subscription's
+/// predicate; they are written as 1 and ignored on read. Version
 /// 2 appended each subscription's [`EdgePredicate`] (amount interval + label
 /// filter) to its registry record; version-1 checkpoints decode with every
 /// query given the pass-all predicate.
@@ -86,9 +89,6 @@ pub struct Checkpoint {
     pub strategy: FanOutStrategy,
     /// The id the engine would assign to its next subscription.
     pub next_query_id: u64,
-    /// The engine's ingest shard layout ([`ShardSpec::single`] for
-    /// checkpoints written before format v3 — those engines were unsharded).
-    pub shards: ShardSpec,
     /// The live registry, in ascending-id order.
     pub subscriptions: Vec<SubscriptionSnapshot>,
 }
@@ -326,8 +326,8 @@ impl Checkpoint {
             FanOutStrategy::Indexed => 1,
         });
         buf.extend_from_slice(&self.next_query_id.to_le_bytes());
-        // v3: the engine's ingest shard layout.
-        buf.extend_from_slice(&(self.shards.shards() as u32).to_le_bytes());
+        // v3: the engine's shard count; the window is unsharded, so 1.
+        buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&(self.subscriptions.len() as u32).to_le_bytes());
         for sub in &self.subscriptions {
             let q = &sub.query;
@@ -350,9 +350,8 @@ impl Checkpoint {
             // label filter as a tag byte; Allow/Deny carry a counted,
             // ascending label list (Any carries nothing).
             encode_edge_predicate(&mut buf, q.edge_predicate());
-            // v3: the query's own shard setting, so restored snapshots
-            // compare equal to the live registry field-for-field.
-            buf.extend_from_slice(&(q.shard_spec().shards() as u32).to_le_bytes());
+            // v3: the query's shard count, likewise 1.
+            buf.extend_from_slice(&1u32.to_le_bytes());
             // v4: the extended cycle-predicate record (total interval,
             // monotone flag, positional constraints, vertex filter).
             encode_extended_predicate(&mut buf, q.extended_predicate());
@@ -395,7 +394,7 @@ impl Checkpoint {
             return Err(IoError::UnsupportedVersion { version });
         }
         let with_predicates = version >= CHECKPOINT_FORMAT_V2;
-        let with_shards = version >= CHECKPOINT_FORMAT_V3;
+        let has_shard_counts = version >= CHECKPOINT_FORMAT_V3;
         let with_extended = version >= CHECKPOINT_FORMAT_VERSION;
         let seq = cur.u64()?;
         let batches = cur.u64()?;
@@ -414,12 +413,9 @@ impl Checkpoint {
             }
         };
         let next_query_id = cur.u64()?;
-        let shards = if with_shards {
-            decode_shards(&mut cur)?
-        } else {
-            // Pre-v3 checkpoints described unsharded engines.
-            ShardSpec::single()
-        };
+        if has_shard_counts {
+            skip_shard_count(&mut cur)?;
+        }
         let nsubs = u32::from_le_bytes(cur.take(4)?.try_into().unwrap()) as usize;
         // Bound the count by the remaining bytes before allocating. v2+
         // records are variable-length (label lists), so use the minimum
@@ -432,7 +428,7 @@ impl Checkpoint {
         if with_predicates {
             per_sub += 8 + 8 + 1;
         }
-        if with_shards {
+        if has_shard_counts {
             per_sub += 4;
         }
         if with_extended {
@@ -487,11 +483,9 @@ impl Checkpoint {
                 // attribute columns, so pass-all is exactly what they meant.
                 EdgePredicate::pass_all()
             };
-            if with_shards {
-                query = query.shards(decode_shards(&mut cur)?);
+            if has_shard_counts {
+                skip_shard_count(&mut cur)?;
             }
-            // Pre-v3 records carry no shard setting: single() (the builder
-            // default) is exactly what those queries ran with.
             if with_extended {
                 let base = CyclePredicate::pass_all().edge(edge_pred);
                 query = query.cycle_predicate(decode_extended_predicate(&mut cur, base)?);
@@ -522,15 +516,14 @@ impl Checkpoint {
             granularity,
             strategy,
             next_query_id,
-            shards,
             subscriptions,
         })
     }
 }
 
-/// Decodes a v3 shard count: a u32 that must be at least 1 (a zero-shard
-/// layout cannot exist, so it can only be corruption).
-fn decode_shards(cur: &mut Cursor<'_>) -> Result<ShardSpec, IoError> {
+/// Reads and discards a v3/v4 shard count: a u32 that must be at least 1
+/// (a zero-shard layout never existed, so it can only be corruption).
+fn skip_shard_count(cur: &mut Cursor<'_>) -> Result<(), IoError> {
     let n = u32::from_le_bytes(cur.take(4)?.try_into().unwrap());
     if n == 0 {
         return Err(IoError::Corrupt {
@@ -538,7 +531,7 @@ fn decode_shards(cur: &mut Cursor<'_>) -> Result<ShardSpec, IoError> {
             detail: "zero shard count",
         });
     }
-    Ok(ShardSpec::new(n as usize))
+    Ok(())
 }
 
 struct Cursor<'a> {
@@ -592,33 +585,29 @@ mod tests {
             granularity: Granularity::FineGrained,
             strategy: FanOutStrategy::Indexed,
             next_query_id: 9,
-            shards: ShardSpec::new(4),
             subscriptions: vec![
                 SubscriptionSnapshot {
                     id: QueryId::from_raw(1),
-                    query: StreamingQuery::temporal(250)
-                        .max_len(6)
-                        .shards(ShardSpec::new(2))
-                        .cycle_predicate(
-                            CyclePredicate::pass_all()
-                                .edge(
-                                    EdgePredicate::pass_all()
-                                        .min_amount(100)
-                                        .labels(LabelFilter::allow(vec![2, 7])),
-                                )
-                                .total_min(250)
-                                .total_max(10_000)
-                                .monotone_amounts(true)
-                                .at(
-                                    Position::FromStart(0),
-                                    EdgePredicate::pass_all().min_amount(5),
-                                )
-                                .at(
-                                    Position::FromEnd(1),
-                                    EdgePredicate::pass_all().labels(LabelFilter::deny(vec![9])),
-                                )
-                                .vertices(VertexFilter::deny(vec![3, 8])),
-                        ),
+                    query: StreamingQuery::temporal(250).max_len(6).cycle_predicate(
+                        CyclePredicate::pass_all()
+                            .edge(
+                                EdgePredicate::pass_all()
+                                    .min_amount(100)
+                                    .labels(LabelFilter::allow(vec![2, 7])),
+                            )
+                            .total_min(250)
+                            .total_max(10_000)
+                            .monotone_amounts(true)
+                            .at(
+                                Position::FromStart(0),
+                                EdgePredicate::pass_all().min_amount(5),
+                            )
+                            .at(
+                                Position::FromEnd(1),
+                                EdgePredicate::pass_all().labels(LabelFilter::deny(vec![9])),
+                            )
+                            .vertices(VertexFilter::deny(vec![3, 8])),
+                    ),
                     total_cycles: 17,
                 },
                 SubscriptionSnapshot {
@@ -698,7 +687,7 @@ mod tests {
     }
 
     /// Re-encodes a checkpoint in the v2 layout: predicates present, no
-    /// shard fields. Mirrors what the encoder produced before sharding.
+    /// shard fields.
     fn encode_v2(ckpt: &Checkpoint) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(&CHECKPOINT_MAGIC);
@@ -754,7 +743,8 @@ mod tests {
 
     /// Re-encodes a checkpoint in the v3 layout: predicates and shard fields
     /// present, no extended-predicate records. Mirrors what the encoder
-    /// produced before the cycle-predicate algebra existed.
+    /// produced before the cycle-predicate algebra existed, for an engine
+    /// sharded four ways whose subscriptions asked for two shards.
     fn encode_v3(ckpt: &Checkpoint) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(&CHECKPOINT_MAGIC);
@@ -770,7 +760,7 @@ mod tests {
             FanOutStrategy::Indexed => 1,
         });
         buf.extend_from_slice(&ckpt.next_query_id.to_le_bytes());
-        buf.extend_from_slice(&(ckpt.shards.shards() as u32).to_le_bytes());
+        buf.extend_from_slice(&4u32.to_le_bytes());
         buf.extend_from_slice(&(ckpt.subscriptions.len() as u32).to_le_bytes());
         for sub in &ckpt.subscriptions {
             let q = &sub.query;
@@ -790,7 +780,7 @@ mod tests {
             });
             buf.extend_from_slice(&sub.total_cycles.to_le_bytes());
             encode_edge_predicate(&mut buf, q.edge_predicate());
-            buf.extend_from_slice(&(q.shard_spec().shards() as u32).to_le_bytes());
+            buf.extend_from_slice(&2u32.to_le_bytes());
         }
         let crc = crc32(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
@@ -800,9 +790,10 @@ mod tests {
     #[test]
     fn v3_checkpoints_decode_with_pass_all_extended_predicates() {
         // A v3 checkpoint has no extended-predicate records; decoding must
-        // succeed with every restored query keeping its edge predicate and
-        // shard setting but reporting pass-all extended components — exactly
-        // the constraints those queries could express.
+        // succeed with every restored query keeping its edge predicate but
+        // reporting pass-all extended components — exactly the constraints
+        // those queries could express. The shard counts are read and
+        // dropped.
         let mut expected = sample();
         for sub in &mut expected.subscriptions {
             let edge = sub.query.edge_predicate().clone();
@@ -816,9 +807,6 @@ mod tests {
             assert!(!pred.has_cycle_constraints());
             assert_eq!(*pred.vertex_filter(), VertexFilter::Any);
         }
-        // The shard layout still round-trips from v3 records.
-        assert_eq!(decoded.shards, ShardSpec::new(4));
-
         // The corruption guarantees hold for the legacy format too.
         for byte in 0..v3_bytes.len() {
             let mut bad = v3_bytes.clone();
@@ -831,26 +819,18 @@ mod tests {
     }
 
     #[test]
-    fn v2_checkpoints_decode_as_single_shard() {
-        // A v2 checkpoint has no shard fields; decoding must succeed with the
-        // engine and every restored query reporting a single-shard layout —
-        // exactly the unsharded engine the checkpoint described. (Extended
-        // predicate components drop to pass-all too: v2 queries could only
-        // express per-edge constraints.)
+    fn v2_checkpoints_decode_without_shard_fields() {
+        // A v2 checkpoint has no shard fields; decoding must succeed with
+        // extended predicate components restored pass-all: v2 queries could
+        // only express per-edge constraints.
         let mut expected = sample();
-        expected.shards = ShardSpec::single();
         for sub in &mut expected.subscriptions {
             let edge = sub.query.edge_predicate().clone();
-            sub.query = sub
-                .query
-                .clone()
-                .predicate(edge)
-                .shards(ShardSpec::single());
+            sub.query = sub.query.clone().predicate(edge);
         }
         let v2_bytes = encode_v2(&expected);
         let decoded = Checkpoint::decode(&v2_bytes).unwrap();
         assert_eq!(decoded, expected);
-        assert!(decoded.shards.is_single());
 
         // The corruption guarantees hold for the legacy format too.
         for byte in 0..v2_bytes.len() {
@@ -865,8 +845,8 @@ mod tests {
 
     #[test]
     fn zero_shard_count_is_corrupt() {
-        // A checksum-valid v3 blob with a zero shard count must be rejected
-        // (ShardSpec::new(0) would panic downstream otherwise).
+        // A checksum-valid v3 blob with a zero shard count must be rejected:
+        // no layout ever had zero shards, so only corruption writes one.
         let mut ckpt = sample();
         ckpt.subscriptions.clear();
         let mut bytes = ckpt.encode();
@@ -886,15 +866,11 @@ mod tests {
     #[test]
     fn v1_checkpoints_decode_with_pass_all_predicates() {
         // A v1 checkpoint has no predicate fields; decoding must succeed and
-        // give every restored query the pass-all predicate (and, since v3,
-        // a single-shard layout).
+        // give every restored query the pass-all predicate.
         let mut expected = sample();
-        expected.shards = ShardSpec::single();
         for sub in &mut expected.subscriptions {
             let q = sub.query.clone();
-            sub.query = q
-                .predicate(EdgePredicate::pass_all())
-                .shards(ShardSpec::single());
+            sub.query = q.predicate(EdgePredicate::pass_all());
         }
         let v1_bytes = encode_v1(&expected);
         let decoded = Checkpoint::decode(&v1_bytes).unwrap();

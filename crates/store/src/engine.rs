@@ -33,10 +33,10 @@ pub struct DurableConfig {
     pub granularity: Granularity,
     /// Fan-out strategy.
     pub strategy: FanOutStrategy,
-    /// Ingest shard layout of the wrapped engine (see
-    /// [`MultiStreamingEngine::with_shards`]). Captured in every checkpoint
-    /// (format v3); recovery restores the layout the engine crashed with —
-    /// pre-v3 checkpoints recover as a single shard.
+    /// Ignored: the window is never sharded.
+    ///
+    /// Kept only because the `perfbench` benchmark sets it; it goes in the
+    /// next change that edits `perfbench/`.
     pub shards: ShardSpec,
 }
 
@@ -93,8 +93,7 @@ impl<S: SegmentStore> DurableMultiStreamingEngine<S> {
         let log = SegmentLog::create(store, cfg.segment_bytes)?;
         let engine = MultiStreamingEngine::with_threads(retention, cfg.threads)?
             .with_granularity(cfg.granularity)
-            .with_fan_out(cfg.strategy)
-            .with_shards(cfg.shards);
+            .with_fan_out(cfg.strategy);
         let mut durable = Self {
             engine,
             log,
@@ -188,7 +187,6 @@ impl<S: SegmentStore> DurableMultiStreamingEngine<S> {
             granularity: self.engine.granularity(),
             strategy: self.engine.fan_out_strategy(),
             next_query_id: self.engine.next_query_id(),
-            shards: self.engine.shard_spec(),
             subscriptions: self.engine.subscription_snapshots(),
         };
         let bytes = ckpt.encode();

@@ -67,10 +67,8 @@ pub struct RecoveryReport {
 /// algorithm and its guarantees.
 ///
 /// The engine-behaviour configuration (retention, granularity, fan-out
-/// strategy, shard layout) comes from the checkpoint; `cfg` supplies only
-/// the operational knobs (threads, segment size, checkpoint cadence).
-/// Checkpoints written before format v3 carry no shard layout and recover
-/// as a single shard — the unsharded engine they described.
+/// strategy) comes from the checkpoint; `cfg` supplies only the operational
+/// knobs (threads, segment size, checkpoint cadence).
 ///
 /// Fails with [`StoreError::NoCheckpoint`] when the store holds no usable
 /// checkpoint and [`StoreError::Corrupt`] when a segment is damaged anywhere
@@ -106,8 +104,7 @@ pub fn recover<S: SegmentStore>(
 
     let mut engine = MultiStreamingEngine::with_threads(ckpt.retention, cfg.threads)?
         .with_granularity(ckpt.granularity)
-        .with_fan_out(ckpt.strategy)
-        .with_shards(ckpt.shards);
+        .with_fan_out(ckpt.strategy);
 
     // Hydration: rebuild the window as of the checkpoint. Zero
     // subscriptions → pure append/expiry, no enumeration.

@@ -16,7 +16,7 @@
 
 use pce_core::{
     CollectMode, FanOutStrategy, Granularity, LatencyStats, MultiStreamingEngine, QueryId,
-    RunStats, SchedStrategy, ShardSpec, StreamingEngine, StreamingError, StreamingQuery,
+    RunStats, StreamingEngine, StreamingError, StreamingQuery,
 };
 use pce_graph::generators::{self, transaction_rings, TransactionRingConfig};
 use pce_graph::{TemporalEdge, TemporalGraph, Timestamp};
@@ -48,10 +48,6 @@ pub struct StreamScenarioConfig {
     /// (coarse-grained — one task per closing root — by default; fine-grained
     /// steals recursion levels mid-search and wins on skewed batches).
     pub granularity: Granularity,
-    /// How idle workers engage fine-grained batches: stealing boxed tasks
-    /// (the default) or joining packed-atomic work-assisting loops. Ignored
-    /// at other granularities; reports are byte-identical either way.
-    pub sched: SchedStrategy,
 }
 
 impl Default for StreamScenarioConfig {
@@ -73,7 +69,6 @@ impl Default for StreamScenarioConfig {
             temporal: true,
             collect: CollectMode::Count,
             granularity: Granularity::CoarseGrained,
-            sched: SchedStrategy::Stealing,
         }
     }
 }
@@ -99,20 +94,12 @@ impl StreamScenarioConfig {
             temporal: true,
             collect: CollectMode::Count,
             granularity: Granularity::CoarseGrained,
-            sched: SchedStrategy::Stealing,
         }
     }
 
     /// The same scenario at a different delta-enumeration granularity.
     pub fn with_granularity(mut self, granularity: Granularity) -> Self {
         self.granularity = granularity;
-        self
-    }
-
-    /// The same scenario under a different scheduling strategy (only
-    /// observable at [`Granularity::FineGrained`]).
-    pub fn with_sched(mut self, sched: SchedStrategy) -> Self {
-        self.sched = sched;
         self
     }
 
@@ -127,9 +114,7 @@ impl StreamScenarioConfig {
             Some(len) => q.max_len(len),
             None => q,
         };
-        q.granularity(self.granularity)
-            .sched(self.sched)
-            .collect(self.collect)
+        q.granularity(self.granularity).collect(self.collect)
     }
 }
 
@@ -325,9 +310,6 @@ pub struct HubBurstReport {
     pub threads: usize,
     /// The granularity the standing query requested.
     pub granularity: Granularity,
-    /// The scheduling strategy the standing query ran under (stealing unless
-    /// the run came through [`run_hub_burst_sched`]).
-    pub sched: SchedStrategy,
     /// Cycles the burst batch reported (must equal
     /// [`HubBurstConfig::expected_cycles`] — asserted by the runner).
     pub cycles: u64,
@@ -352,24 +334,11 @@ impl HubBurstReport {
 
 /// Runs the hub-burst scenario: replays the lattice as lead-in batches, then
 /// ingests the single closing edge and reports how the burst's work was
-/// distributed. Runs under the default work-stealing strategy; see
-/// [`run_hub_burst_sched`] for the strategy axis.
+/// distributed.
 pub fn run_hub_burst(
     cfg: &HubBurstConfig,
     threads: usize,
     granularity: Granularity,
-) -> Result<HubBurstReport, StreamingError> {
-    run_hub_burst_sched(cfg, threads, granularity, SchedStrategy::Stealing)
-}
-
-/// [`run_hub_burst`] under an explicit [`SchedStrategy`]: the burst batch is
-/// the steal-vs-assist showcase — one root, all the work behind it — so this
-/// is what `streaming_bench`'s `sched` section sweeps.
-pub fn run_hub_burst_sched(
-    cfg: &HubBurstConfig,
-    threads: usize,
-    granularity: Granularity,
-    sched: SchedStrategy,
 ) -> Result<HubBurstReport, StreamingError> {
     let graph = generators::hub_burst(cfg.width, cfg.depth);
     let edges = graph.edges();
@@ -382,8 +351,7 @@ pub fn run_hub_burst_sched(
     } else {
         StreamingQuery::simple(delta)
     };
-    let mut engine =
-        StreamingEngine::with_threads(delta, query.granularity(granularity).sched(sched), threads)?;
+    let mut engine = StreamingEngine::with_threads(delta, query.granularity(granularity), threads)?;
     for batch in lead_in.chunks(cfg.batch_edges.max(1)) {
         let quiet = engine.ingest(batch)?;
         debug_assert_eq!(quiet.cycles_found, 0, "the lattice alone closes nothing");
@@ -397,7 +365,6 @@ pub fn run_hub_burst_sched(
     Ok(HubBurstReport {
         threads,
         granularity,
-        sched,
         cycles: report.cycles_found,
         burst_secs: report.enumerate_secs,
         burst_stats: report.stats,
@@ -761,118 +728,6 @@ pub fn run_fan_out_scale(
     })
 }
 
-/// Configuration of the **sharded ingest** scenario: the transaction stream
-/// replayed once per shard count through a [`StreamingEngine`] whose
-/// sliding-window graph is partitioned by [`ShardSpec`], so the edges/sec
-/// curve over `S` measures what hash-by-vertex sharding buys the
-/// append/expiry/delta path. The standing query runs at
-/// [`Granularity::Sequential`] — the granularity whose delta pass the shard
-/// layout parallelises (one task per shard, roots owned by their closing
-/// edge's source vertex); reports are byte-identical at every `S`, which the
-/// runner asserts batch by batch against the `S = 1` run.
-#[derive(Debug, Clone)]
-pub struct ShardedScaleConfig {
-    /// The stream scenario replayed at every shard count.
-    pub base: StreamScenarioConfig,
-    /// The shard counts to sweep, in reporting order (must include 1 first —
-    /// it is the byte-identical baseline the other counts are checked
-    /// against).
-    pub shard_counts: Vec<usize>,
-}
-
-impl Default for ShardedScaleConfig {
-    fn default() -> Self {
-        Self {
-            base: StreamScenarioConfig::default().with_granularity(Granularity::Sequential),
-            shard_counts: vec![1, 2, 4, 8],
-        }
-    }
-}
-
-impl ShardedScaleConfig {
-    /// A seconds-scale configuration for CI smoke runs.
-    pub fn smoke() -> Self {
-        Self {
-            base: StreamScenarioConfig::smoke().with_granularity(Granularity::Sequential),
-            ..Self::default()
-        }
-    }
-}
-
-/// One shard count's measurements in a [`run_sharded_scale`] sweep.
-#[derive(Debug, Clone)]
-pub struct ShardedScaleRow {
-    /// The shard count this row ran with.
-    pub shards: usize,
-    /// The full streaming report of the replay at this shard count.
-    pub report: StreamingReport,
-}
-
-/// Runs the sharded ingest scenario: replays the stream once per configured
-/// shard count (all at the same thread count) and asserts the reports are
-/// byte-identical across shard counts — same per-batch cycle counts, same
-/// live-edge trajectory, same lifetime total — before returning the rows.
-pub fn run_sharded_scale(
-    cfg: &ShardedScaleConfig,
-    threads: usize,
-) -> Result<Vec<ShardedScaleRow>, StreamingError> {
-    let (graph, _planted) = transaction_rings(cfg.base.ring);
-    let batches = replay_batches(&graph, cfg.base.batch_edges);
-
-    let mut rows = Vec::with_capacity(cfg.shard_counts.len());
-    for &shards in &cfg.shard_counts {
-        let query = cfg.base.query().shards(ShardSpec::new(shards));
-        let mut engine = StreamingEngine::with_threads(cfg.base.retention, query, threads)?;
-        let start = std::time::Instant::now();
-        let mut batch_rows = Vec::with_capacity(batches.len());
-        for batch in &batches {
-            let report = engine.ingest(batch)?;
-            batch_rows.push(StreamBatchRow {
-                batch: report.batch,
-                appended: report.appended,
-                expired: report.expired,
-                live_edges: report.live_edges,
-                cycles: report.cycles_found,
-                ingest_secs: report.ingest_secs,
-                enumerate_secs: report.enumerate_secs,
-            });
-        }
-        let wall_secs = start.elapsed().as_secs_f64();
-        rows.push(ShardedScaleRow {
-            shards,
-            report: StreamingReport {
-                threads,
-                rows: batch_rows,
-                total_edges: engine.graph().total_ingested(),
-                total_cycles: engine.total_cycles(),
-                wall_secs,
-            },
-        });
-    }
-
-    // Sharding is a parallelism knob, never a semantics knob: every shard
-    // count must report exactly what the first one did, batch by batch.
-    if let Some((first, rest)) = rows.split_first() {
-        for row in rest {
-            assert_eq!(
-                first.report.total_cycles, row.report.total_cycles,
-                "S={} diverged from S={} on the lifetime cycle total",
-                row.shards, first.shards
-            );
-            for (a, b) in first.report.rows.iter().zip(&row.report.rows) {
-                assert_eq!(
-                    a.cycles, b.cycles,
-                    "S={} diverged from S={} at batch {}",
-                    row.shards, first.shards, a.batch
-                );
-                assert_eq!(a.live_edges, b.live_edges, "batch {}", a.batch);
-                assert_eq!(a.expired, b.expired, "batch {}", a.batch);
-            }
-        }
-    }
-    Ok(rows)
-}
-
 /// The independent-engines baseline for [`run_multi_tenant`]: the same
 /// portfolio over the same stream, but through one dedicated
 /// [`StreamingEngine`] per query — N ingest passes, N delta scans, N pruning
@@ -1056,23 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scale_smoke_agrees_across_shard_counts() {
-        // The runner itself asserts per-batch equality across shard counts;
-        // here we additionally pin the sweep against the unsharded reference
-        // scenario and check every row replayed the full stream.
-        let cfg = ShardedScaleConfig::smoke();
-        let rows = run_sharded_scale(&cfg, 2).expect("valid sharded scenario");
-        assert_eq!(rows.len(), cfg.shard_counts.len());
-        assert_eq!(rows[0].shards, 1);
-        let reference = run_stream_scenario(&cfg.base, 1).unwrap();
-        for row in &rows {
-            assert_eq!(row.report.total_cycles, reference.total_cycles);
-            assert_eq!(row.report.total_edges, reference.total_edges);
-            assert!(row.report.sustained_edges_per_sec() > 0.0);
-        }
-    }
-
-    #[test]
     fn hub_burst_fine_engages_extra_workers_where_coarse_cannot() {
         let cfg = HubBurstConfig::smoke();
         let coarse = run_hub_burst(&cfg, 4, Granularity::CoarseGrained).unwrap();
@@ -1085,45 +923,5 @@ mod tests {
         // Fine splits the rooted search itself.
         assert!(fine.busy_workers() > 1, "fine must spread the burst");
         assert!(fine.burst_stats.work.total_steals() > 0);
-    }
-
-    #[test]
-    fn hub_burst_assisting_records_assists_where_stealing_records_steals() {
-        let cfg = HubBurstConfig::smoke();
-        // The count assertion inside the runner holds on every run and every
-        // executor; the scheduling-counter assertions need real parallelism.
-        let assist =
-            run_hub_burst_sched(&cfg, 4, Granularity::FineGrained, SchedStrategy::Assisting)
-                .unwrap();
-        assert_eq!(assist.cycles, cfg.expected_cycles());
-        assert_eq!(assist.sched, SchedStrategy::Assisting);
-        assert_eq!(
-            assist.burst_stats.work.total_steals(),
-            0,
-            "the assisting driver never touches the steal deques"
-        );
-        if pce_core::sched::available_parallelism() < 2 {
-            eprintln!("skipping steal/assist counter assertions: single-core executor");
-            return;
-        }
-        let steal = run_hub_burst(&cfg, 4, Granularity::FineGrained).unwrap();
-        assert_eq!(steal.cycles, assist.cycles);
-        assert!(steal.burst_stats.work.total_steals() > 0);
-        assert!(
-            assist.burst_stats.work.total_joins() > 0,
-            "every participating worker records a join"
-        );
-        // The assist counter is racy in the same way a steal is (it needs a
-        // second worker to engage mid-flight), so give it a few attempts.
-        for attempt in 0..5 {
-            let r =
-                run_hub_burst_sched(&cfg, 4, Granularity::FineGrained, SchedStrategy::Assisting)
-                    .unwrap();
-            assert_eq!(r.cycles, cfg.expected_cycles(), "attempt {attempt}");
-            if r.burst_stats.work.total_assists() > 0 {
-                return;
-            }
-        }
-        panic!("no assists recorded on the hub burst in 5 runs");
     }
 }

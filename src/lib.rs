@@ -65,13 +65,13 @@ pub mod prelude {
         CollectingSink, CountingSink, Cycle, CycleEnumerator, CycleKind, CycleSink, CycleStream,
         Engine, EnumerationError, EnumerationResult, FanOutReport, FanOutStrategy, FirstKSink,
         Granularity, LatencyStats, MultiBatchReport, MultiStreamingEngine, Query, QueryId,
-        RunStats, SchedStrategy, SimpleCycleOptions, StreamCycle, StreamingEngine, StreamingError,
-        StreamingQuery, SubscriptionIndex, SubscriptionSnapshot, TemporalCycleOptions, WorkMetrics,
+        RunStats, SimpleCycleOptions, StreamCycle, StreamingEngine, StreamingError, StreamingQuery,
+        SubscriptionIndex, SubscriptionSnapshot, TemporalCycleOptions, WorkMetrics,
     };
     pub use pce_graph::{
         generators, CyclePredicate, DeltaBatch, EdgePredicate, GraphBuilder, GraphStats, GraphView,
-        LabelFilter, Position, ShardSpec, SlidingWindowGraph, StreamError, TemporalEdge,
-        TemporalGraph, TimeWindow, VertexFilter,
+        LabelFilter, Position, SlidingWindowGraph, StreamError, TemporalEdge, TemporalGraph,
+        TimeWindow, VertexFilter,
     };
     pub use pce_sched::{ThreadPool, WorkerMetrics};
     pub use pce_store::{

@@ -618,11 +618,9 @@ fn encode_v2(ck: &Checkpoint) -> Vec<u8> {
     buf
 }
 
-/// A store whose newest checkpoint predates the sharded window (v2: predicate
-/// fields, no shard layout) must recover as the single-shard engine it
-/// described — `S = 1` at the engine and on every restored query — keep
-/// serving byte-identical reports, and roundtrip through the **next** crash
-/// in the current v3 format.
+/// A store whose newest checkpoint is in the v2 format (predicate fields, no
+/// shard fields) must recover, keep serving byte-identical reports, and
+/// roundtrip through the **next** crash in the current format.
 #[test]
 fn v2_checkpoint_store_recovers_as_single_shard() {
     let cfg = DurableConfig {
@@ -673,22 +671,10 @@ fn v2_checkpoint_store_recovers_as_single_shard() {
     ck.seq += 1;
     store.write_checkpoint(ck.seq, &encode_v2(&ck)).unwrap();
 
-    // Recovery: no shard layout in the checkpoint means the unsharded engine
-    // it described — S = 1 everywhere — and the stream continues
-    // byte-identically, predicates intact.
+    // Recovery: the stream continues byte-identically, predicates intact.
     let (mut recovered, info) = recover(store, &cfg).unwrap();
     assert_eq!(info.checkpoint_seq, ck.seq, "the v2 checkpoint is newest");
     assert_eq!(info.dropped_batches, 0);
-    assert!(
-        recovered.engine().shard_spec().is_single(),
-        "pre-v3 checkpoints recover as a single shard"
-    );
-    for (_, q) in recovered.engine().subscriptions() {
-        assert!(
-            q.shard_spec().is_single(),
-            "v2 records decode to single-shard queries"
-        );
-    }
     assert_eq!(
         recovered.engine().subscription_snapshots(),
         plain.subscription_snapshots(),
@@ -700,11 +686,10 @@ fn v2_checkpoint_store_recovers_as_single_shard() {
         assert_eq!(project(&x), project(&y));
     }
 
-    // … and survives the *next* crash via the current (v3) format.
+    // … and survives the *next* crash via the current format.
     recovered.checkpoint_now().unwrap();
     let expected = recovered.engine().subscription_snapshots();
     let (after, _) = recover(recovered.into_store(), &cfg).unwrap();
-    assert!(after.engine().shard_spec().is_single());
     assert_eq!(
         after.engine().subscription_snapshots(),
         expected,
@@ -815,6 +800,8 @@ fn v1_checkpoint_store_upgrades_through_recovery() {
 /// fields present, no extended-predicate records — the layout the encoder
 /// produced before the cycle-predicate algebra existed. Only meaningful for
 /// registries whose extended components are pass-all (all v3 could express).
+/// Every shard count is written as 4, as a sharded engine wrote them; the
+/// decoder must read and ignore them.
 fn encode_v3(ck: &Checkpoint) -> Vec<u8> {
     use parallel_cycle_enumeration::graph::io::crc32;
     let mut buf = Vec::new();
@@ -835,7 +822,7 @@ fn encode_v3(ck: &Checkpoint) -> Vec<u8> {
         FanOutStrategy::Indexed => 1,
     });
     buf.extend_from_slice(&ck.next_query_id.to_le_bytes());
-    buf.extend_from_slice(&(ck.shards.shards() as u32).to_le_bytes());
+    buf.extend_from_slice(&4u32.to_le_bytes());
     buf.extend_from_slice(&(ck.subscriptions.len() as u32).to_le_bytes());
     for sub in &ck.subscriptions {
         let q = &sub.query;
@@ -883,7 +870,7 @@ fn encode_v3(ck: &Checkpoint) -> Vec<u8> {
                 labels(&mut buf, set);
             }
         }
-        buf.extend_from_slice(&(q.shard_spec().shards() as u32).to_le_bytes());
+        buf.extend_from_slice(&4u32.to_le_bytes());
     }
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());

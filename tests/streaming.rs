@@ -7,9 +7,7 @@
 //! with attribute-filtered subscriptions: every fan-out strategy × pushdown
 //! setting must report byte-identically to dedicated per-query engines, while
 //! pushing the predicate union into the shared pass does strictly less
-//! union-building work than filtering at fan-out. The sharded sweep checks
-//! that partitioning the sliding window across shards is invisible: S ∈
-//! {2, 4} must report byte-identically to the unsharded engine, per batch.
+//! union-building work than filtering at fan-out.
 //!
 //! The seeded sweep takes its base seed from the `PCE_SWEEP_SEED` environment
 //! variable (CI passes one per run and echoes it), so a failure in a CI log
@@ -379,182 +377,6 @@ fn granularity_sweep_is_byte_identical_to_one_shot() {
     assert!(cycles_seen > 0, "the sweep must actually exercise cycles");
 }
 
-/// The scheduling-strategy differential sweep: at [`Granularity::FineGrained`]
-/// the work-stealing and work-assisting drivers must report **byte-identical**
-/// cycles per batch *and* agree on every deterministic work counter (edge
-/// visits, recursive calls, copies, union members, roots) — only the
-/// steal/join/assist scheduling counters may differ. Seeded streams × threads
-/// {1, 4} × batch sizes including expiry-straddling ones, for both cycle
-/// kinds. Base seed from `PCE_SWEEP_SEED` (echoed by CI; every assertion
-/// message carries the seed).
-#[test]
-fn sched_strategy_sweep_is_byte_identical() {
-    let base = sweep_seed();
-    let mut cycles_seen = 0usize;
-    for seed in base..base + 2 {
-        let delta = 25;
-        for retention in [10_000i64, 40] {
-            for (label, query) in [
-                ("simple", StreamingQuery::simple(delta).max_len(5)),
-                ("temporal", StreamingQuery::temporal(delta)),
-            ] {
-                for batch_edges in [1usize, 9, 45] {
-                    let batches = sweep_stream(seed, batch_edges);
-                    for threads in [1usize, 4] {
-                        let ctx = format!(
-                            "seed {seed} {label} retention {retention} batch {batch_edges} \
-                             threads {threads}"
-                        );
-                        let mut steal = StreamingEngine::with_threads(
-                            retention,
-                            query
-                                .clone()
-                                .granularity(Granularity::FineGrained)
-                                .sched(SchedStrategy::Stealing),
-                            threads,
-                        )
-                        .expect("valid streaming config");
-                        let mut assist = StreamingEngine::with_threads(
-                            retention,
-                            query
-                                .clone()
-                                .granularity(Granularity::FineGrained)
-                                .sched(SchedStrategy::Assisting),
-                            threads,
-                        )
-                        .expect("valid streaming config");
-                        let mut assist_joined = 0u64;
-                        for (b, batch) in batches.iter().enumerate() {
-                            let sr = steal.ingest(batch).expect("in-order replay");
-                            let ar = assist.ingest(batch).expect("in-order replay");
-                            assert_eq!(
-                                sort_canonical(&sr.cycles),
-                                sort_canonical(&ar.cycles),
-                                "{ctx} batch index {b}"
-                            );
-                            assert_eq!(sr.cycles_found, ar.cycles_found, "{ctx} batch index {b}");
-                            // Same expansion body => identical deterministic
-                            // counters, whatever the schedule did.
-                            assert_eq!(
-                                sr.stats.work.total_edge_visits(),
-                                ar.stats.work.total_edge_visits(),
-                                "{ctx} batch index {b}"
-                            );
-                            assert_eq!(
-                                sr.stats.work.total_recursive_calls(),
-                                ar.stats.work.total_recursive_calls(),
-                                "{ctx} batch index {b}"
-                            );
-                            assert_eq!(
-                                sr.stats.work.total_copies(),
-                                ar.stats.work.total_copies(),
-                                "{ctx} batch index {b}"
-                            );
-                            assert_eq!(
-                                sr.stats.work.total_union_members(),
-                                ar.stats.work.total_union_members(),
-                                "{ctx} batch index {b}"
-                            );
-                            assert_eq!(
-                                sr.stats.work.total_roots(),
-                                ar.stats.work.total_roots(),
-                                "{ctx} batch index {b}"
-                            );
-                            // The assisting driver never steals; the stealing
-                            // driver never joins.
-                            assert_eq!(ar.stats.work.total_steals(), 0, "{ctx} batch index {b}");
-                            assert_eq!(sr.stats.work.total_joins(), 0, "{ctx} batch index {b}");
-                            assist_joined += ar.stats.work.total_joins();
-                            cycles_seen += ar.cycles.len();
-                        }
-                        if threads > 1 {
-                            // Fine-grained multi-threaded batches with roots
-                            // ran the assisting driver, which records a join
-                            // per participating worker per run.
-                            assert!(assist_joined > 0, "{ctx}: no joins recorded");
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert!(cycles_seen > 0, "the sweep must actually exercise cycles");
-}
-
-/// The multi-engine leg of the strategy sweep: a [`MultiStreamingEngine`]
-/// under [`SchedStrategy::Assisting`] — which routes both the shared
-/// fine-grained pass *and* the deferred `(cohort, candidate-chunk)` fan-out
-/// through work-assisting loops — must report per query and per batch
-/// byte-identically to the same portfolio under the default stealing
-/// strategy, and its deferred dispatch must record loop joins.
-#[test]
-fn multi_engine_sched_strategy_matches_stealing() {
-    let base = sweep_seed();
-    let portfolio = [
-        StreamingQuery::temporal(25),
-        StreamingQuery::simple(12).max_len(4),
-        StreamingQuery::temporal(8).max_len(3),
-        StreamingQuery::simple(30).include_self_loops(true),
-    ];
-    let mut cycles_seen = 0usize;
-    for seed in base..base + 2 {
-        for batch_edges in [9usize, 45] {
-            let batches = sweep_stream(seed, batch_edges);
-            let ctx = format!("seed {seed} batch {batch_edges}");
-            let threads = 4;
-            let build = |sched: SchedStrategy| {
-                let mut multi = MultiStreamingEngine::with_threads(10_000, threads)
-                    .expect("valid retention")
-                    .with_granularity(Granularity::FineGrained)
-                    .with_sched(sched)
-                    // Portfolio of 4 >= threshold 2: every batch with
-                    // candidates exercises the deferred parallel fan-out.
-                    .with_parallel_fan_out_threshold(2);
-                let ids: Vec<QueryId> = portfolio
-                    .iter()
-                    .map(|q| multi.subscribe(q.clone()).expect("valid subscription"))
-                    .collect();
-                (multi, ids)
-            };
-            let (mut steal, steal_ids) = build(SchedStrategy::Stealing);
-            let (mut assist, assist_ids) = build(SchedStrategy::Assisting);
-            assert_eq!(steal_ids, assist_ids);
-            let mut fan_out_joins = 0u64;
-            let mut deferred_candidates = 0u64;
-            for (b, batch) in batches.iter().enumerate() {
-                let sr = steal.ingest(batch).expect("in-order replay");
-                let ar = assist.ingest(batch).expect("in-order replay");
-                assert_eq!(sr.fan_out.joins, 0, "{ctx} batch index {b}");
-                if ar.fan_out.parallel {
-                    deferred_candidates += ar.candidates;
-                    fan_out_joins += ar.fan_out.joins;
-                }
-                for id in &steal_ids {
-                    let s = sr.report(*id).expect("subscribed");
-                    let a = ar.report(*id).expect("subscribed");
-                    assert_eq!(
-                        sort_canonical(&s.cycles),
-                        sort_canonical(&a.cycles),
-                        "{ctx} query {id} batch index {b}"
-                    );
-                    assert_eq!(
-                        s.cycles_found, a.cycles_found,
-                        "{ctx} query {id} batch index {b}"
-                    );
-                    cycles_seen += a.cycles.len();
-                }
-            }
-            if deferred_candidates > 0 {
-                assert!(
-                    fan_out_joins > 0,
-                    "{ctx}: deferred assisting dispatch recorded no joins"
-                );
-            }
-        }
-    }
-    assert!(cycles_seen > 0, "the sweep must actually exercise cycles");
-}
-
 /// The multi-query differential sweep (the tentpole's harness): one
 /// [`MultiStreamingEngine`] with K ∈ {2, 4} heterogeneous subscriptions —
 /// different kinds, windows, length bounds and self-loop flags — must report,
@@ -745,145 +567,6 @@ fn fan_out_index_sweep_is_byte_identical_to_naive_loop() {
         "the K = 64, threads = 4 configurations must exercise the deferred \
          parallel dispatch path"
     );
-}
-
-/// The sharded differential sweep (the tentpole's harness): partitioning the
-/// sliding window across S ∈ {2, 4} shards must be invisible — per batch,
-/// byte-identical canonicalised cycles and counts to the unsharded (S = 1)
-/// engine — across granularities {sequential, coarse, fine}, threads {1, 4}
-/// and retentions with and without mid-stream expiry; likewise for a sharded
-/// [`MultiStreamingEngine`] against its unsharded twin. The final window and
-/// lifetime expiry totals must agree too, so sharding is invisible to the
-/// graph as well as the reports. Base seed from `PCE_SWEEP_SEED` (echoed by
-/// CI; every assertion message carries the seed).
-#[test]
-fn sharded_sweep_is_byte_identical_to_unsharded() {
-    let base = sweep_seed();
-    let portfolio = [
-        StreamingQuery::temporal(25),
-        StreamingQuery::simple(12).max_len(4),
-    ];
-    let mut cycles_seen = 0usize;
-    for seed in base..base + 2 {
-        // One retention without expiry, one that forces it mid-stream.
-        for retention in [10_000i64, 40] {
-            let batches = sweep_stream(seed, 9);
-            for granularity in [
-                Granularity::Sequential,
-                Granularity::CoarseGrained,
-                Granularity::FineGrained,
-            ] {
-                for threads in [1usize, 4] {
-                    let label = format!(
-                        "seed {seed} retention {retention} {granularity:?} threads {threads}"
-                    );
-                    // The single-query engines: unsharded baseline plus one
-                    // engine per shard count.
-                    let query = StreamingQuery::temporal(25).granularity(granularity);
-                    let mut baseline =
-                        StreamingEngine::with_threads(retention, query.clone(), threads)
-                            .expect("valid streaming config");
-                    let mut sharded: Vec<(usize, StreamingEngine)> = [2usize, 4]
-                        .into_iter()
-                        .map(|s| {
-                            let engine = StreamingEngine::with_threads(
-                                retention,
-                                query.clone().shards(ShardSpec::new(s)),
-                                threads,
-                            )
-                            .expect("valid streaming config");
-                            (s, engine)
-                        })
-                        .collect();
-                    // The multi-query engines: same portfolio, engine-level
-                    // shard layout chosen before the first batch.
-                    let mut multi_base = MultiStreamingEngine::with_threads(retention, threads)
-                        .expect("valid retention")
-                        .with_granularity(granularity);
-                    let ids: Vec<QueryId> = portfolio
-                        .iter()
-                        .map(|q| multi_base.subscribe(q.clone()).expect("valid subscription"))
-                        .collect();
-                    let mut multi_sharded: Vec<(usize, MultiStreamingEngine)> = [2usize, 4]
-                        .into_iter()
-                        .map(|s| {
-                            let mut engine = MultiStreamingEngine::with_threads(retention, threads)
-                                .expect("valid retention")
-                                .with_granularity(granularity)
-                                .with_shards(ShardSpec::new(s));
-                            for q in &portfolio {
-                                engine.subscribe(q.clone()).expect("valid subscription");
-                            }
-                            (s, engine)
-                        })
-                        .collect();
-                    for (b, batch) in batches.iter().enumerate() {
-                        let want = baseline.ingest(batch).expect("in-order replay");
-                        let want_cycles = sort_canonical(&want.cycles);
-                        for (s, engine) in &mut sharded {
-                            let got = engine.ingest(batch).expect("in-order replay");
-                            assert_eq!(
-                                got.cycles_found, want.cycles_found,
-                                "{label} shards {s} batch {b}"
-                            );
-                            assert_eq!(
-                                sort_canonical(&got.cycles),
-                                want_cycles,
-                                "{label} shards {s} batch {b}"
-                            );
-                        }
-                        cycles_seen += want.cycles.len();
-                        let multi_want = multi_base.ingest(batch).expect("in-order replay");
-                        for (s, engine) in &mut multi_sharded {
-                            let multi_got = engine.ingest(batch).expect("in-order replay");
-                            for id in &ids {
-                                let a = multi_want.report(*id).expect("subscribed");
-                                let c = multi_got.report(*id).expect("subscribed");
-                                assert_eq!(
-                                    c.cycles_found, a.cycles_found,
-                                    "{label} shards {s} query {id} batch {b}"
-                                );
-                                assert_eq!(
-                                    sort_canonical(&c.cycles),
-                                    sort_canonical(&a.cycles),
-                                    "{label} shards {s} query {id} batch {b}"
-                                );
-                            }
-                        }
-                    }
-                    // Sharding is invisible to the graph too: same final
-                    // window, same lifetime totals.
-                    for (s, engine) in &sharded {
-                        assert_eq!(
-                            engine.graph().window(),
-                            baseline.graph().window(),
-                            "{label} shards {s}"
-                        );
-                        assert_eq!(
-                            engine.graph().total_expired(),
-                            baseline.graph().total_expired(),
-                            "{label} shards {s}"
-                        );
-                    }
-                    for (s, engine) in &multi_sharded {
-                        assert_eq!(
-                            engine.graph().window(),
-                            multi_base.graph().window(),
-                            "{label} shards {s}"
-                        );
-                        for id in &ids {
-                            assert_eq!(
-                                engine.total_cycles(*id),
-                                multi_base.total_cycles(*id),
-                                "{label} shards {s} query {id}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert!(cycles_seen > 0, "the sweep must actually exercise cycles");
 }
 
 /// Deterministically attributes the sweep stream: amounts and labels are
@@ -1184,7 +867,7 @@ fn extended_portfolio() -> Vec<ExtendedMember> {
 /// through a [`MultiStreamingEngine`] must report, **per query and per
 /// batch**, byte-identical canonicalised cycles to dedicated single-query
 /// engines — across granularities {sequential, coarse, fine} × threads
-/// {1, 4} × [`SchedStrategy`] × pushdown {on, off} × retentions with and
+/// {1, 4} × pushdown {on, off} × retentions with and
 /// without mid-stream expiry — and, at end of stream, each query's
 /// window-surviving union must equal a **zero-pruning brute-force oracle**:
 /// a pass-all one-shot enumeration of the final snapshot post-filtered
@@ -1194,7 +877,7 @@ fn extended_portfolio() -> Vec<ExtendedMember> {
 /// (strictly smaller summed sweep-wide), the post-filter runs record zero
 /// extended prunes (a pass-all hull has nothing to prune against), and the
 /// pushdown prune counters depend only on the data — identical across
-/// granularity, threads and scheduling strategy — and each class
+/// granularity and threads — and each class
 /// (aggregate, positional, vertex) fires somewhere in the sweep. Base seed
 /// from `PCE_SWEEP_SEED` (echoed by CI; every assertion message carries the
 /// seed).
@@ -1217,166 +900,158 @@ fn extended_predicate_sweep_is_byte_identical() {
                 Granularity::FineGrained,
             ] {
                 for threads in [1usize, 4] {
-                    for sched in [SchedStrategy::Stealing, SchedStrategy::Assisting] {
-                        let label = format!(
-                            "seed {seed} retention {retention} {granularity:?} threads \
-                             {threads} {sched:?}"
-                        );
-                        // Two shared engines: pushdown on and off.
-                        let mut engines: Vec<MultiStreamingEngine> = [true, false]
-                            .into_iter()
-                            .map(|pushdown| {
-                                let mut engine =
-                                    MultiStreamingEngine::with_threads(retention, threads)
-                                        .expect("valid retention")
-                                        .with_granularity(granularity)
-                                        .with_sched(sched)
-                                        .with_pushdown(pushdown);
-                                for m in &portfolio {
-                                    engine
-                                        .subscribe(m.streaming.clone())
-                                        .expect("valid subscription");
-                                }
+                    let label = format!(
+                        "seed {seed} retention {retention} {granularity:?} threads {threads}"
+                    );
+                    // Two shared engines: pushdown on and off.
+                    let mut engines: Vec<MultiStreamingEngine> = [true, false]
+                        .into_iter()
+                        .map(|pushdown| {
+                            let mut engine = MultiStreamingEngine::with_threads(retention, threads)
+                                .expect("valid retention")
+                                .with_granularity(granularity)
+                                .with_pushdown(pushdown);
+                            for m in &portfolio {
                                 engine
-                            })
-                            .collect();
-                        let ids: Vec<QueryId> =
-                            engines[0].subscriptions().map(|(id, _)| id).collect();
-                        // The dedicated baseline: one single-query engine per
-                        // member, each pruning with its own exact predicate.
-                        let mut dedicated: Vec<StreamingEngine> = portfolio
-                            .iter()
-                            .map(|m| {
-                                StreamingEngine::with_threads(
-                                    retention,
-                                    m.streaming.clone().granularity(granularity).sched(sched),
-                                    threads,
-                                )
-                                .expect("valid streaming config")
-                            })
-                            .collect();
-                        let mut unions: Vec<Vec<StreamCycle>> = vec![Vec::new(); portfolio.len()];
-                        let mut union_members = [0u64; 2];
-                        let mut prunes = [[0u64; 3]; 2];
-                        for (b, batch) in batches.iter().enumerate() {
-                            let reports: Vec<MultiBatchReport> = engines
-                                .iter_mut()
-                                .map(|e| e.ingest(batch).expect("in-order replay"))
-                                .collect();
-                            for ((members, per_class), report) in union_members
-                                .iter_mut()
-                                .zip(prunes.iter_mut())
-                                .zip(&reports)
-                            {
-                                *members += report.stats.work.total_union_members();
-                                per_class[0] += report.stats.work.total_aggregate_prunes();
-                                per_class[1] += report.stats.work.total_positional_prunes();
-                                per_class[2] += report.stats.work.total_vertex_prunes();
+                                    .subscribe(m.streaming.clone())
+                                    .expect("valid subscription");
                             }
-                            for ((id, engine), (member, union)) in ids
-                                .iter()
-                                .zip(&mut dedicated)
-                                .zip(portfolio.iter().zip(&mut unions))
-                            {
-                                let own = engine.ingest(batch).expect("in-order replay");
-                                let own_cycles = sort_canonical(&own.cycles);
-                                for (pushdown, report) in [true, false].into_iter().zip(&reports) {
-                                    let fanned = report.report(*id).expect("subscribed");
-                                    assert_eq!(
-                                        fanned.cycles_found, own.cycles_found,
-                                        "{label} {} pushdown {pushdown} batch {b}",
-                                        member.name
-                                    );
-                                    assert_eq!(
-                                        sort_canonical(&fanned.cycles),
-                                        own_cycles,
-                                        "{label} {} pushdown {pushdown} batch {b}",
-                                        member.name
-                                    );
-                                }
-                                union.extend(own.cycles.iter().map(StreamCycle::canonicalize));
-                                cycles_seen += own.cycles.len();
-                            }
-                        }
-                        // The zero-pruning oracle: per member, enumerate the
-                        // final snapshot with **no** predicate at all, then
-                        // post-filter through the exact predicate. The
-                        // window-surviving streamed union must match it byte
-                        // for byte.
-                        for ((member, union), engine) in
-                            portfolio.iter().zip(&unions).zip(&dedicated)
-                        {
-                            let window = engine.graph().window().expect("live edges remain");
-                            let snapshot = engine.snapshot();
-                            let run = Engine::with_threads(2)
-                                .run(
-                                    &member
-                                        .one_shot
-                                        .clone()
-                                        .algorithm(Algorithm::Johnson)
-                                        .granularity(Granularity::Sequential)
-                                        .collect(CollectMode::Collect),
-                                    &snapshot,
-                                )
-                                .expect("valid one-shot query");
-                            let mut oracle: Vec<StreamCycle> = oracle_with_predicates(
-                                &snapshot,
-                                run.cycles.expect("collected"),
-                                &member.predicate,
+                            engine
+                        })
+                        .collect();
+                    let ids: Vec<QueryId> = engines[0].subscriptions().map(|(id, _)| id).collect();
+                    // The dedicated baseline: one single-query engine per
+                    // member, each pruning with its own exact predicate.
+                    let mut dedicated: Vec<StreamingEngine> = portfolio
+                        .iter()
+                        .map(|m| {
+                            StreamingEngine::with_threads(
+                                retention,
+                                m.streaming.clone().granularity(granularity),
+                                threads,
                             )
-                            .iter()
-                            .map(|c| {
-                                StreamCycle {
-                                    vertices: c.vertices.clone(),
-                                    edges: c.edges.iter().map(|&id| snapshot.edge(id)).collect(),
-                                }
-                                .canonicalize()
-                            })
+                            .expect("valid streaming config")
+                        })
+                        .collect();
+                    let mut unions: Vec<Vec<StreamCycle>> = vec![Vec::new(); portfolio.len()];
+                    let mut union_members = [0u64; 2];
+                    let mut prunes = [[0u64; 3]; 2];
+                    for (b, batch) in batches.iter().enumerate() {
+                        let reports: Vec<MultiBatchReport> = engines
+                            .iter_mut()
+                            .map(|e| e.ingest(batch).expect("in-order replay"))
                             .collect();
-                            oracle.sort_by(|a, b| a.edges.cmp(&b.edges));
-                            let mut survivors: Vec<StreamCycle> = union
-                                .iter()
-                                .filter(|c| c.edges.iter().all(|e| window.contains(e.ts)))
-                                .cloned()
-                                .collect();
-                            survivors.sort_by(|a, b| a.edges.cmp(&b.edges));
-                            assert_eq!(
-                                survivors, oracle,
-                                "{label} {}: streamed union diverged from the zero-pruning \
-                                 oracle",
-                                member.name
-                            );
+                        for ((members, per_class), report) in union_members
+                            .iter_mut()
+                            .zip(prunes.iter_mut())
+                            .zip(&reports)
+                        {
+                            *members += report.stats.work.total_union_members();
+                            per_class[0] += report.stats.work.total_aggregate_prunes();
+                            per_class[1] += report.stats.work.total_positional_prunes();
+                            per_class[2] += report.stats.work.total_vertex_prunes();
                         }
-                        // Pushdown never builds a larger union than its
-                        // post-filter twin …
-                        assert!(
-                            union_members[0] <= union_members[1],
-                            "{label}: pushdown built a larger union ({} vs {})",
-                            union_members[0],
-                            union_members[1]
-                        );
-                        push_union_total += union_members[0];
-                        post_union_total += union_members[1];
-                        // … the post-filter run (pass-all hull) records no
-                        // extended prunes …
-                        assert_eq!(
-                            prunes[1],
-                            [0, 0, 0],
-                            "{label}: a pass-all shared pass pruned on extended constraints"
-                        );
-                        // … and the pushdown prune counters depend only on
-                        // the data, not the schedule.
-                        for (total, n) in push_prunes_total.iter_mut().zip(prunes[0]) {
-                            *total += n;
+                        for ((id, engine), (member, union)) in ids
+                            .iter()
+                            .zip(&mut dedicated)
+                            .zip(portfolio.iter().zip(&mut unions))
+                        {
+                            let own = engine.ingest(batch).expect("in-order replay");
+                            let own_cycles = sort_canonical(&own.cycles);
+                            for (pushdown, report) in [true, false].into_iter().zip(&reports) {
+                                let fanned = report.report(*id).expect("subscribed");
+                                assert_eq!(
+                                    fanned.cycles_found, own.cycles_found,
+                                    "{label} {} pushdown {pushdown} batch {b}",
+                                    member.name
+                                );
+                                assert_eq!(
+                                    sort_canonical(&fanned.cycles),
+                                    own_cycles,
+                                    "{label} {} pushdown {pushdown} batch {b}",
+                                    member.name
+                                );
+                            }
+                            union.extend(own.cycles.iter().map(StreamCycle::canonicalize));
+                            cycles_seen += own.cycles.len();
                         }
-                        let fingerprint = prune_fingerprints
-                            .entry((seed, retention))
-                            .or_insert(prunes[0]);
+                    }
+                    // The zero-pruning oracle: per member, enumerate the
+                    // final snapshot with **no** predicate at all, then
+                    // post-filter through the exact predicate. The
+                    // window-surviving streamed union must match it byte
+                    // for byte.
+                    for ((member, union), engine) in portfolio.iter().zip(&unions).zip(&dedicated) {
+                        let window = engine.graph().window().expect("live edges remain");
+                        let snapshot = engine.snapshot();
+                        let run = Engine::with_threads(2)
+                            .run(
+                                &member
+                                    .one_shot
+                                    .clone()
+                                    .algorithm(Algorithm::Johnson)
+                                    .granularity(Granularity::Sequential)
+                                    .collect(CollectMode::Collect),
+                                &snapshot,
+                            )
+                            .expect("valid one-shot query");
+                        let mut oracle: Vec<StreamCycle> = oracle_with_predicates(
+                            &snapshot,
+                            run.cycles.expect("collected"),
+                            &member.predicate,
+                        )
+                        .iter()
+                        .map(|c| {
+                            StreamCycle {
+                                vertices: c.vertices.clone(),
+                                edges: c.edges.iter().map(|&id| snapshot.edge(id)).collect(),
+                            }
+                            .canonicalize()
+                        })
+                        .collect();
+                        oracle.sort_by(|a, b| a.edges.cmp(&b.edges));
+                        let mut survivors: Vec<StreamCycle> = union
+                            .iter()
+                            .filter(|c| c.edges.iter().all(|e| window.contains(e.ts)))
+                            .cloned()
+                            .collect();
+                        survivors.sort_by(|a, b| a.edges.cmp(&b.edges));
                         assert_eq!(
-                            *fingerprint, prunes[0],
-                            "{label}: prune counters changed with the schedule"
+                            survivors, oracle,
+                            "{label} {}: streamed union diverged from the zero-pruning \
+                             oracle",
+                            member.name
                         );
                     }
+                    // Pushdown never builds a larger union than its
+                    // post-filter twin …
+                    assert!(
+                        union_members[0] <= union_members[1],
+                        "{label}: pushdown built a larger union ({} vs {})",
+                        union_members[0],
+                        union_members[1]
+                    );
+                    push_union_total += union_members[0];
+                    post_union_total += union_members[1];
+                    // … the post-filter run (pass-all hull) records no
+                    // extended prunes …
+                    assert_eq!(
+                        prunes[1],
+                        [0, 0, 0],
+                        "{label}: a pass-all shared pass pruned on extended constraints"
+                    );
+                    // … and the pushdown prune counters depend only on
+                    // the data, not the schedule.
+                    for (total, n) in push_prunes_total.iter_mut().zip(prunes[0]) {
+                        *total += n;
+                    }
+                    let fingerprint = prune_fingerprints
+                        .entry((seed, retention))
+                        .or_insert(prunes[0]);
+                    assert_eq!(
+                        *fingerprint, prunes[0],
+                        "{label}: prune counters changed with the schedule"
+                    );
                 }
             }
         }
