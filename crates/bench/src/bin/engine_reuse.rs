@@ -1,16 +1,16 @@
-//! Engine-reuse microbenchmark: per-call overhead of a long-lived [`Engine`]
-//! versus the seed's pool-per-call front end on a stream of small queries.
+//! Engine-reuse microbenchmark: per-call overhead of one reused [`Engine`]
+//! versus a fresh `Engine` per call on a stream of small queries.
 //!
 //! A serving deployment answers many small queries against warm graphs; what
-//! matters there is the fixed cost per call. The seed's `CycleEnumerator`
-//! spawns and tears down a full `ThreadPool` (one OS thread per core) on
-//! every `count_simple` call, which dwarfs the actual enumeration on small
-//! graphs. The engine pays the pool cost once.
+//! matters there is the fixed cost per call. A fresh engine spawns and tears
+//! down a full `ThreadPool` (one OS thread per worker) on every parallel
+//! call, which dwarfs the actual enumeration on small graphs. A reused
+//! engine pays the pool cost once.
 //!
 //! Usage: `engine_reuse [--threads N] [--json PATH]`
 
 use pce_bench::resolve_threads;
-use pce_core::{CycleEnumerator, Engine, Granularity, Query};
+use pce_core::{Engine, Granularity, Query};
 use pce_graph::generators::{self, RandomTemporalConfig};
 use pce_workloads::{ExperimentConfig, MeasuredRow, ResultTable};
 use std::time::Instant;
@@ -33,11 +33,12 @@ fn main() {
     // Warm both paths once (page-in, lazy pool) before timing.
     let engine = Engine::with_threads(threads);
     let expected = engine.count(&query, &graph).expect("valid query");
-    let legacy = CycleEnumerator::new()
-        .granularity(Granularity::FineGrained)
-        .threads(threads)
-        .window(20);
-    assert_eq!(legacy.count_simple(&graph), expected);
+    let fresh_count = || {
+        Engine::with_threads(threads)
+            .count(&query, &graph)
+            .expect("valid query")
+    };
+    assert_eq!(fresh_count(), expected);
 
     // Reused engine: one pool across all calls.
     let start = Instant::now();
@@ -47,12 +48,12 @@ fn main() {
     }
     let engine_secs = start.elapsed().as_secs_f64();
 
-    // Seed path: CycleEnumerator spawns a fresh pool inside every call.
+    // Fresh engine per call: a new pool inside every call.
     let start = Instant::now();
     for _ in 0..CALLS {
-        assert_eq!(legacy.count_simple(&graph), expected);
+        assert_eq!(fresh_count(), expected);
     }
-    let legacy_secs = start.elapsed().as_secs_f64();
+    let fresh_secs = start.elapsed().as_secs_f64();
 
     let mut table = ResultTable::new(format!(
         "Engine reuse — {CALLS} small-graph queries ({threads} threads, {expected} cycles each)"
@@ -62,13 +63,13 @@ fn main() {
     row.push("per_call_us", engine_secs / CALLS as f64 * 1e6);
     table.push(row);
     let mut row = MeasuredRow::new("pool_per_call");
-    row.push("total_s", legacy_secs);
-    row.push("per_call_us", legacy_secs / CALLS as f64 * 1e6);
+    row.push("total_s", fresh_secs);
+    row.push("per_call_us", fresh_secs / CALLS as f64 * 1e6);
     table.push(row);
     print!("{}", table.render());
     println!(
         "\npool-per-call / reused-engine overhead ratio: {:.2}x",
-        legacy_secs / engine_secs.max(1e-12)
+        fresh_secs / engine_secs.max(1e-12)
     );
     table.maybe_write_json(&cfg.json_out).expect("write json");
 }

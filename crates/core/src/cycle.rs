@@ -21,8 +21,7 @@
 //! The standard implementations are [`CountingSink`] (an atomic counter, no
 //! allocation per cycle), [`CollectingSink`] (a mutex-protected vector, used
 //! by tests, examples and anything that needs the actual cycles),
-//! [`BoundedSink`] (counts everything, keeps a sample), [`FirstKSink`] (stops
-//! the run after `k` cycles) and [`ChannelSink`] (streams cycles to a
+//! [`FirstKSink`] (stops the run after `k` cycles) and [`ChannelSink`] (streams cycles to a
 //! consumer, stopping when the consumer hangs up).
 
 use crate::util::fx_set;
@@ -224,46 +223,6 @@ impl CycleSink for CollectingSink {
     }
 }
 
-/// A sink that keeps at most the first `limit` cycles (and counts the rest),
-/// useful when a graph contains far more cycles than can be materialised.
-#[derive(Debug)]
-pub struct BoundedSink {
-    limit: usize,
-    cycles: Mutex<Vec<Cycle>>,
-    count: AtomicU64,
-}
-
-impl BoundedSink {
-    /// Creates a sink that stores at most `limit` cycles.
-    pub fn new(limit: usize) -> Self {
-        Self {
-            limit,
-            cycles: Mutex::new(Vec::new()),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// The stored cycles (at most `limit` of them).
-    pub fn into_cycles(self) -> Vec<Cycle> {
-        self.cycles.into_inner()
-    }
-}
-
-impl CycleSink for BoundedSink {
-    fn push(&self, vertices: &[VertexId], edges: &[EdgeId]) -> ControlFlow<()> {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.cycles.lock();
-        if guard.len() < self.limit {
-            guard.push(Cycle::new(vertices.to_vec(), edges.to_vec()));
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
 /// A sink that accepts exactly the first `k` cycles and then stops the
 /// enumeration: the `k+1`-th push returns [`ControlFlow::Break`] and is *not*
 /// recorded, so the result holds exactly `min(k, total)` cycles regardless of
@@ -450,16 +409,6 @@ mod tests {
         assert_eq!(canon.len(), 2);
         assert!(canon[0].edges[0] <= canon[1].edges[0]);
         assert_eq!(canon[1].edges, vec![3, 5, 7]);
-    }
-
-    #[test]
-    fn bounded_sink_truncates_but_counts_all() {
-        let sink = BoundedSink::new(2);
-        for i in 0..5u32 {
-            assert!(sink.push(&[i, i + 1], &[i, i + 1]).is_continue());
-        }
-        assert_eq!(sink.count(), 5);
-        assert_eq!(sink.into_cycles().len(), 2);
     }
 
     #[test]

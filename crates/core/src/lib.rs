@@ -16,10 +16,10 @@
 //!
 //! All enumerators share the same problem definitions (see [`cycle`]), report
 //! cycles through a statically-dispatched [`CycleSink`] and record work into
-//! [`WorkMetrics`]. The high-level entry point for applications is the
-//! long-lived [`Engine`]: it owns one thread pool for its lifetime and serves
-//! any number of [`Query`]s — counting, collecting, first-`k` with early
-//! termination, or streaming.
+//! [`WorkMetrics`]. The one-shot front end is the long-lived [`Engine`]: it
+//! owns one thread pool for its lifetime and serves any number of
+//! [`Query`]s — counting, collecting, first-`k` with early termination, or
+//! streaming.
 //!
 //! For *continuously arriving* edges there is an incremental layer on top:
 //! [`StreamingEngine`] ingests timestamp-ordered batches into a sliding
@@ -34,6 +34,8 @@
 //! cost scales with *distinct constraint profiles*, not subscribers — N
 //! subscriptions cost far less than N engines, and portfolios that repeat a
 //! handful of alert profiles dispatch in near-constant time per candidate.
+//! Dispatch runs after the shared pass as `(cohort, candidate-chunk)` tasks,
+//! on the engine's pool whenever it has more than one worker.
 //!
 //! Cross-implementation correctness is checked everywhere against the shared
 //! brute-force oracles in the `testing` module (unit tests see it always;
@@ -52,14 +54,10 @@
 //! let result = engine.run(&query, &graph).unwrap();
 //! assert_eq!(result.stats.cycles, 1);
 //! ```
-//!
-//! The legacy [`CycleEnumerator`] builder remains as a thin compatibility
-//! wrapper over a per-call engine (see [`api`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod api;
 pub mod bundle;
 pub mod cycle;
 pub mod delta;
@@ -74,10 +72,7 @@ pub mod testing;
 pub(crate) mod union;
 pub mod util;
 
-pub use api::CycleEnumerator;
-pub use cycle::{
-    BoundedSink, ChannelSink, CollectingSink, CountingSink, Cycle, CycleSink, FirstKSink,
-};
+pub use cycle::{ChannelSink, CollectingSink, CountingSink, Cycle, CycleSink, FirstKSink};
 pub use engine::{
     Algorithm, CollectMode, CycleKind, CycleStream, Engine, EnumerationError, EnumerationResult,
     Granularity, Query, SchedStrategy, ShardSpec,
@@ -87,7 +82,7 @@ pub use options::{SimpleCycleOptions, TemporalCycleOptions};
 pub use streaming::{
     BatchReport, CohortBatchStats, CohortKey, FanOutReport, FanOutStrategy, MultiBatchReport,
     MultiStreamingEngine, QueryId, StreamCycle, StreamingEngine, StreamingError, StreamingQuery,
-    SubscriptionIndex, SubscriptionSnapshot, PARALLEL_FAN_OUT_SUBS,
+    SubscriptionIndex, SubscriptionSnapshot,
 };
 
 // Predicate types surface in the streaming API (`StreamingQuery::predicate`,

@@ -397,12 +397,11 @@ pub struct RunStats {
     pub work: WorkSnapshot,
     /// Number of worker threads used (1 for sequential enumerators).
     pub threads: usize,
-    /// The algorithm that effectively executed. Set by every enumerator; a
-    /// compatibility fallback (e.g. the legacy Tiernan fine-grained → coarse
-    /// mapping of `CycleEnumerator`) is therefore visible here.
+    /// The algorithm that effectively executed, tagged by the enumerator
+    /// that ran.
     pub algorithm: Option<Algorithm>,
-    /// The granularity that effectively executed (see
-    /// [`RunStats::algorithm`]).
+    /// The granularity that effectively executed: a streaming batch with
+    /// nothing to parallelise over degrades to sequential, and says so here.
     pub granularity: Option<Granularity>,
 }
 

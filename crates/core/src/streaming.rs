@@ -63,8 +63,10 @@
 //! subscriptions are bucketed into `(kind, self-loops, predicate-profile)`
 //! cohorts and deduplicated into `(δ, max_len)` constraint groups, so
 //! per-candidate dispatch cost scales with *distinct constraint profiles*
-//! rather than with the subscriber count, and large portfolios dispatch as
-//! parallel tasks on the engine's pool. The per-query outputs are
+//! rather than with the subscriber count. The shared pass only buffers
+//! candidates; dispatch runs afterwards as `(cohort, candidate-chunk)` tasks,
+//! on the engine's pool when it has more than one worker and in a loop on
+//! the calling thread otherwise. The per-query outputs are
 //! byte-identical to dedicated engines — and to the naive per-candidate loop
 //! ([`FanOutStrategy::Naive`]) — proven by the differential harnesses in
 //! `tests/streaming.rs`.
@@ -826,21 +828,15 @@ pub enum FanOutStrategy {
     /// `(CycleKind, include_self_loops)` and, within a cohort, deduplicated
     /// into constraint *groups* ordered by `(delta, max_len)`, so a
     /// candidate's time-span binary-searches the acceptance frontier and each
-    /// candidate only visits the groups that can possibly accept it. Large
-    /// portfolios additionally run cohort dispatch as parallel tasks on the
-    /// engine's thread pool.
+    /// candidate only visits the groups that can possibly accept it.
+    /// Candidates are buffered during the shared pass and dispatched after
+    /// it as `(cohort, candidate-chunk)` tasks, in parallel on the engine's
+    /// pool when it has more than one worker.
     #[default]
     Indexed,
 }
 
-/// Default portfolio size from which the indexed strategy defers dispatch and
-/// runs it as parallel `(cohort, candidate-chunk)` tasks on the engine's
-/// pool. Below it, per-candidate inline dispatch is cheaper than buffering
-/// candidates. Override per engine with
-/// [`MultiStreamingEngine::with_parallel_fan_out_threshold`].
-pub const PARALLEL_FAN_OUT_SUBS: usize = 64;
-
-/// Candidates per parallel dispatch task: the copyable unit of fan-out work,
+/// Candidates per dispatch task: the copyable unit of fan-out work,
 /// sized so a task amortises its scheduling cost but a skewed batch still
 /// splits across workers.
 const FAN_OUT_CHUNK: usize = 128;
@@ -1159,8 +1155,7 @@ struct CohortCounters {
     /// Subscription-level acceptances (each accepted group counts once per
     /// member — the deliveries the naive loop would have performed).
     accepted: AtomicU64,
-    /// Busy nanoseconds of this cohort's parallel dispatch tasks (0 when
-    /// dispatch ran inline inside the shared pass).
+    /// Busy nanoseconds of this cohort's dispatch tasks.
     busy_nanos: AtomicU64,
 }
 
@@ -1262,7 +1257,7 @@ fn predicate_accepts_candidate(
 /// Dispatches one candidate into one cohort: gate once (kind, strictness,
 /// self-loops, the cohort's exact predicate), binary-search the
 /// `(delta, max_len)` frontier, then visit only the surviving groups. The
-/// shared helper of the inline sink and the parallel dispatch tasks.
+/// body of every dispatch task.
 #[inline]
 fn dispatch_into_cohort(
     cohort: &Cohort,
@@ -1399,43 +1394,9 @@ impl CycleSink for FanOutSink<'_> {
     }
 }
 
-/// The inline indexed fan-out sink: dispatches each candidate through the
-/// [`SubscriptionIndex`] as it is discovered, inside the shared pass itself
-/// (the pass's workers already push concurrently, so dispatch parallelises
-/// with the search). Used below the [`PARALLEL_FAN_OUT_SUBS`] threshold.
-struct IndexedFanOutSink<'a> {
-    graph: &'a SlidingWindowGraph,
-    index: &'a SubscriptionIndex,
-    accums: &'a [Vec<GroupAccum>],
-    counters: &'a [CohortCounters],
-    candidates: AtomicU64,
-}
-
-impl CycleSink for IndexedFanOutSink<'_> {
-    fn push(&self, vertices: &[VertexId], edges: &[EdgeId]) -> ControlFlow<()> {
-        self.candidates.fetch_add(1, Ordering::Relaxed);
-        let shape = candidate_shape(self.graph, edges);
-        for (ci, cohort) in self.index.cohorts.iter().enumerate() {
-            dispatch_into_cohort(
-                cohort,
-                &self.accums[ci],
-                &self.counters[ci],
-                &shape,
-                vertices,
-                edges,
-            );
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn count(&self) -> u64 {
-        self.candidates.load(Ordering::Relaxed)
-    }
-}
-
-/// One buffered candidate of the deferred (parallel) dispatch path: the
-/// resolved shape plus the raw cycle, captured during the shared pass and
-/// fanned out afterwards by `(cohort, chunk)` tasks.
+/// One buffered candidate of the indexed fan-out: the resolved shape plus
+/// the raw cycle, captured during the shared pass and fanned out afterwards
+/// by `(cohort, chunk)` tasks.
 #[derive(Debug)]
 struct BufferedCandidate {
     vertices: Vec<VertexId>,
@@ -1455,13 +1416,12 @@ fn thread_shard(n: usize) -> usize {
     THREAD_SLOT.with(|slot| (*slot % n.max(1) as u64) as usize)
 }
 
-/// The buffering sink of the deferred dispatch path: the shared pass only
-/// records each candidate's shape; dispatch happens afterwards, in parallel,
-/// over the whole candidate set (see [`dispatch_deferred`]). The buffer is
-/// sharded per pushing thread (cache-line padded, like the per-worker
+/// The buffering sink of the indexed fan-out: the shared pass only records
+/// each candidate's shape; dispatch happens afterwards over the whole
+/// candidate set (see [`dispatch_buffered`]). The buffer is sharded per
+/// pushing thread (cache-line padded, like the per-worker
 /// [`WorkMetrics`](crate::WorkMetrics) blocks) so the pass's workers do not
-/// serialize on one mutex on exactly the multi-threaded path this sink is
-/// chosen for.
+/// serialize on one mutex.
 struct BufferingFanOutSink<'a> {
     graph: &'a SlidingWindowGraph,
     shards: Vec<CachePadded<Mutex<Vec<BufferedCandidate>>>>,
@@ -1514,25 +1474,28 @@ impl CycleSink for BufferingFanOutSink<'_> {
     }
 }
 
-/// Runs the deferred fan-out as parallel tasks on the engine's pool: one
-/// dynamically-scheduled task per `(cohort, candidate chunk)` pair — the same
-/// fine-grained copyable-unit discipline the delta drivers use, applied to
-/// dispatch. Tasks of one cohort share that cohort's group accumulators
-/// (atomic counts, mutex-guarded cycle lists), and each task adds its busy
-/// time to its cohort's counters so per-cohort dispatch cost stays visible.
-fn dispatch_deferred(
-    pool: &pce_sched::ThreadPool,
+/// Runs the indexed fan-out over the buffered candidates as one task per
+/// `(cohort, candidate chunk)` pair — the same fine-grained copyable-unit
+/// discipline the delta drivers use, applied to dispatch. With more than one
+/// worker the tasks are dynamically scheduled on the engine's pool; with one,
+/// they run in a loop on the calling thread, so a 1-thread engine never
+/// creates a pool. Tasks of one cohort share that cohort's group
+/// accumulators (atomic counts, mutex-guarded cycle lists), and each task
+/// adds its busy time to its cohort's counters so per-cohort dispatch cost
+/// stays visible. Returns whether the tasks ran on the pool.
+fn dispatch_buffered(
+    engine: &Engine,
     index: &SubscriptionIndex,
     candidates: &[BufferedCandidate],
     accums: &[Vec<GroupAccum>],
     counters: &[CohortCounters],
-) {
+) -> bool {
     let chunks = candidates.len().div_ceil(FAN_OUT_CHUNK);
-    let cohorts = index.cohorts.len();
-    if chunks == 0 || cohorts == 0 {
-        return;
+    let tasks = chunks * index.cohorts.len();
+    if tasks == 0 {
+        return false;
     }
-    let body = |_worker: usize, task: usize| {
+    let body = |task: usize| {
         let ci = task / chunks;
         let chunk_idx = task % chunks;
         let start = chunk_idx * FAN_OUT_CHUNK;
@@ -1553,7 +1516,13 @@ fn dispatch_deferred(
             .busy_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     };
-    pce_sched::parallel_for_dynamic(pool, chunks * cohorts, 1, body);
+    if engine.threads() > 1 {
+        pce_sched::parallel_for_dynamic(engine.pool(), tasks, 1, |_worker, task| body(task));
+        true
+    } else {
+        (0..tasks).for_each(body);
+        false
+    }
 }
 
 /// Per-cohort accounting of one batch's fan-out (indexed strategy only — the
@@ -1573,10 +1542,9 @@ pub struct CohortBatchStats {
     /// Subscription-level acceptances (one per member of each accepted
     /// group — the deliveries the naive loop performs individually).
     pub accepted: u64,
-    /// Summed busy seconds of this cohort's parallel dispatch *tasks* (CPU
-    /// time, not wall clock — across cohorts it can exceed the phase's
-    /// [`FanOutReport::fan_out_secs`] on a multi-worker batch; 0 when the
-    /// batch dispatched inline inside the shared pass).
+    /// Summed busy seconds of this cohort's dispatch *tasks* (CPU time, not
+    /// wall clock — across cohorts it can exceed the phase's
+    /// [`FanOutReport::fan_out_secs`] on a multi-worker batch).
     pub busy_secs: f64,
 }
 
@@ -1586,8 +1554,9 @@ pub struct CohortBatchStats {
 pub struct FanOutReport {
     /// The strategy that dispatched this batch.
     pub strategy: FanOutStrategy,
-    /// Whether dispatch ran as deferred parallel `(cohort, chunk)` tasks on
-    /// the pool (large portfolios) instead of inline inside the shared pass.
+    /// Whether the indexed dispatch tasks ran on the engine's pool (the
+    /// engine has more than one worker and the batch had candidates). The
+    /// naive loop dispatches inside the shared pass and reports `false`.
     pub parallel: bool,
     /// Subscription-constraint checks performed: `subscriptions × candidates`
     /// for the naive loop; cohort-level predicate evaluations (for cohorts
@@ -1596,9 +1565,9 @@ pub struct FanOutReport {
     /// and `predicate` sections compare across strategies and pushdown
     /// settings.
     pub checks: u64,
-    /// Wall-clock seconds of the deferred dispatch phase (0 when dispatch
-    /// ran inline; inline dispatch is part of
-    /// [`MultiBatchReport::enumerate_secs`] either way).
+    /// Wall-clock seconds of the indexed dispatch phase that follows the
+    /// shared pass (0 for the naive loop, whose dispatch is folded into the
+    /// pass). Part of [`MultiBatchReport::enumerate_secs`] either way.
     pub fan_out_secs: f64,
     /// Per-cohort accounting rows (empty for the naive strategy).
     pub cohorts: Vec<CohortBatchStats>,
@@ -1727,9 +1696,8 @@ pub struct MultiStreamingEngine {
     /// subscribe/unsubscribe (used by [`FanOutStrategy::Indexed`]; kept in
     /// sync regardless of the active strategy so switching costs nothing).
     index: SubscriptionIndex,
-    /// Per-cohort dispatch-latency accumulators, recorded for every batch
-    /// whose fan-out ran as deferred parallel tasks (inline dispatch is not
-    /// separable from the shared pass, so it records nothing here).
+    /// Per-cohort dispatch-latency accumulators, recorded for every indexed
+    /// batch with candidates.
     cohort_latency: Vec<(CohortKey, LatencyStats)>,
     /// Whether the portfolio's predicate union is pushed into the shared
     /// pass (the default). Off, the pass runs pass-all and predicates are
@@ -1737,11 +1705,6 @@ pub struct MultiStreamingEngine {
     /// differential tests and `streaming_bench`'s `predicate` section
     /// compare against (reports must be byte-identical either way).
     pushdown: bool,
-    /// Portfolio size from which indexed fan-out defers dispatch into
-    /// parallel tasks (see [`with_parallel_fan_out_threshold`]
-    /// (Self::with_parallel_fan_out_threshold)). Defaults to
-    /// [`PARALLEL_FAN_OUT_SUBS`].
-    fan_out_threshold: usize,
     next_id: u64,
     scratches: Vec<RootScratch>,
     batches: u64,
@@ -1775,28 +1738,10 @@ impl MultiStreamingEngine {
             index: SubscriptionIndex::new(),
             cohort_latency: Vec::new(),
             pushdown: true,
-            fan_out_threshold: PARALLEL_FAN_OUT_SUBS,
             next_id: QueryId::SOLO.0 + 1,
             scratches: Vec::new(),
             batches: 0,
         })
-    }
-
-    /// Sets the portfolio size from which [`FanOutStrategy::Indexed`] defers
-    /// dispatch and runs it as parallel `(cohort, candidate-chunk)` tasks on
-    /// the engine's pool (defaults to [`PARALLEL_FAN_OUT_SUBS`] = 64). Below
-    /// the threshold, per-candidate inline dispatch skips the buffering of
-    /// candidates entirely. Tuning it trades dispatch latency against task
-    /// overhead; reports are byte-identical at every setting.
-    pub fn with_parallel_fan_out_threshold(mut self, subs: usize) -> Self {
-        self.fan_out_threshold = subs;
-        self
-    }
-
-    /// The portfolio size from which indexed fan-out goes parallel (see
-    /// [`with_parallel_fan_out_threshold`](Self::with_parallel_fan_out_threshold)).
-    pub fn parallel_fan_out_threshold(&self) -> usize {
-        self.fan_out_threshold
     }
 
     /// Selects how the shared delta pass is split across workers (the same
@@ -1848,10 +1793,9 @@ impl MultiStreamingEngine {
     }
 
     /// Per-batch dispatch latency attributed to the cohort `key`, accumulated
-    /// over every batch whose fan-out ran as deferred parallel tasks (see
-    /// [`FanOutReport::parallel`]; inline dispatch is folded into the shared
-    /// pass and records nothing here). `None` when no such batch has run for
-    /// that cohort.
+    /// over every indexed batch with candidates (the summed busy time of the
+    /// cohort's dispatch tasks). `None` when no such batch has run for that
+    /// cohort.
     pub fn cohort_latency(&self, key: &CohortKey) -> Option<&LatencyStats> {
         self.cohort_latency
             .iter()
@@ -2111,70 +2055,41 @@ impl MultiStreamingEngine {
                     FanOutStrategy::Indexed => {
                         let accums = self.index.make_accums();
                         let counters = self.index.make_counters();
-                        // Large portfolios defer dispatch and fan out as
-                        // parallel (cohort, chunk) tasks after the pass;
-                        // below the threshold, inline dispatch inside the
-                        // pass avoids buffering the candidates.
-                        let deferred =
-                            self.engine.threads() > 1 && self.subs.len() >= self.fan_out_threshold;
-                        let (stats, candidates, fan_out_secs, parallel) = if deferred {
-                            let sink = BufferingFanOutSink::new(&self.graph, self.engine.threads());
-                            let stats = delta::run(
-                                &plan,
-                                schedule,
-                                &self.graph,
-                                ingested.roots.clone(),
-                                &sink,
-                                &mut self.scratches,
-                            );
-                            let buffered = sink.into_candidates();
-                            let t_fan = Instant::now();
-                            dispatch_deferred(
-                                self.engine.pool(),
-                                &self.index,
-                                &buffered,
-                                &accums,
-                                &counters,
-                            );
-                            (
-                                stats,
-                                buffered.len() as u64,
-                                t_fan.elapsed().as_secs_f64(),
-                                !buffered.is_empty(),
-                            )
-                        } else {
-                            let sink = IndexedFanOutSink {
-                                graph: &self.graph,
-                                index: &self.index,
-                                accums: &accums,
-                                counters: &counters,
-                                candidates: AtomicU64::new(0),
-                            };
-                            let stats = delta::run(
-                                &plan,
-                                schedule,
-                                &self.graph,
-                                ingested.roots.clone(),
-                                &sink,
-                                &mut self.scratches,
-                            );
-                            let candidates = sink.candidates.load(Ordering::Relaxed);
-                            (stats, candidates, 0.0, false)
-                        };
+                        let sink = BufferingFanOutSink::new(&self.graph, self.engine.threads());
+                        let stats = delta::run(
+                            &plan,
+                            schedule,
+                            &self.graph,
+                            ingested.roots.clone(),
+                            &sink,
+                            &mut self.scratches,
+                        );
+                        let buffered = sink.into_candidates();
+                        let t_fan = Instant::now();
+                        let parallel = dispatch_buffered(
+                            &self.engine,
+                            &self.index,
+                            &buffered,
+                            &accums,
+                            &counters,
+                        );
+                        let fan_out_secs = t_fan.elapsed().as_secs_f64();
                         // Distribute group results to members: one resolution
-                        // per group, cloned only into collecting members.
+                        // per group, moved into the last collecting member
+                        // and cloned only for the others.
                         let mut per_query: Vec<(u64, Vec<StreamCycle>)> =
                             self.subs.iter().map(|_| (0u64, Vec::new())).collect();
                         for (ci, cohort) in self.index.cohorts.iter().enumerate() {
                             for (gi, group) in cohort.groups.iter().enumerate() {
                                 let accum = &accums[ci][gi];
                                 let count = accum.count.load(Ordering::Relaxed);
-                                let resolved: Vec<StreamCycle> =
+                                let mut resolved: Vec<StreamCycle> =
                                     std::mem::take(&mut *accum.cycles.lock())
                                         .into_iter()
                                         .map(|c| resolve_cycle(&self.graph, c))
                                         .collect();
-                                for member in &group.members {
+                                let last_collector = group.members.iter().rposition(|m| m.collect);
+                                for (mi, member) in group.members.iter().enumerate() {
                                     // Subscription ids are assigned
                                     // monotonically and `subs` keeps
                                     // subscription order, so it is sorted by
@@ -2184,7 +2099,9 @@ impl MultiStreamingEngine {
                                         .binary_search_by_key(&member.id, |s| s.id)
                                         .expect("index tracks every subscription");
                                     per_query[slot].0 = count;
-                                    if member.collect {
+                                    if Some(mi) == last_collector {
+                                        per_query[slot].1 = std::mem::take(&mut resolved);
+                                    } else if member.collect {
                                         per_query[slot].1 = resolved.clone();
                                     }
                                 }
@@ -2212,15 +2129,14 @@ impl MultiStreamingEngine {
                             fan_out_secs,
                             cohorts,
                         };
-                        (per_query, candidates, stats, fan_out)
+                        (per_query, buffered.len() as u64, stats, fan_out)
                     }
                 }
             }
         };
         let enumerate_secs = t1.elapsed().as_secs_f64();
-        if fan_out.parallel {
-            // Per-cohort dispatch latency is only separable when the batch
-            // ran the deferred parallel dispatcher.
+        if candidates > 0 {
+            // Only the indexed strategy reports cohorts.
             for c in &fan_out.cohorts {
                 match self.cohort_latency.iter_mut().find(|(k, _)| *k == c.key) {
                     Some((_, latency)) => latency.record(c.busy_secs),
@@ -3324,16 +3240,16 @@ mod tests {
         }
     }
 
-    /// A portfolio at the [`PARALLEL_FAN_OUT_SUBS`] threshold must take the
-    /// deferred parallel dispatch path — and still report exactly what the
-    /// naive loop reports, with per-cohort dispatch latency recorded.
+    /// A 64-subscription portfolio on a multi-worker engine dispatches on
+    /// the pool — and still reports exactly what the naive loop reports,
+    /// with per-cohort dispatch latency recorded.
     #[test]
     fn large_portfolio_dispatches_in_parallel_with_identical_results() {
         let build = |strategy: FanOutStrategy| {
             let mut engine = MultiStreamingEngine::with_threads(1_000, 4)
                 .unwrap()
                 .with_fan_out(strategy);
-            for i in 0..PARALLEL_FAN_OUT_SUBS {
+            for i in 0..64 {
                 // A handful of distinct profiles, repeated: realistic
                 // portfolio shape and a stable group count.
                 let delta = 1_000 - (i % 8) as Timestamp * 100;
@@ -3366,7 +3282,10 @@ mod tests {
             let rn = naive.ingest(chunk).unwrap();
             let ri = indexed.ingest(chunk).unwrap();
             if ri.candidates > 0 {
-                assert!(ri.fan_out.parallel, "64 subs must defer to the pool");
+                assert!(
+                    ri.fan_out.parallel,
+                    "a 4-worker engine dispatches on the pool"
+                );
                 saw_parallel = true;
                 assert!(ri.fan_out.checks < rn.fan_out.checks);
             }
@@ -3376,7 +3295,7 @@ mod tests {
             }
         }
         assert!(saw_parallel, "the stream must close cycles");
-        // Deferred batches record per-cohort dispatch latency.
+        // Indexed batches record per-cohort dispatch latency.
         let (key, _, _) = indexed
             .subscription_index()
             .summaries()
@@ -3391,6 +3310,77 @@ mod tests {
             naive.cohort_latency(&key).is_none(),
             "the naive loop has no cohort accounting"
         );
+    }
+
+    /// Indexed fan-out takes one path at every portfolio size: a small
+    /// portfolio dispatches on the pool of a 2-worker engine and in a loop
+    /// on the calling thread of a 1-worker engine, records cohort latency
+    /// either way, and reports per query exactly what the naive loop
+    /// reports.
+    #[test]
+    fn small_portfolio_dispatches_on_one_path_at_every_thread_count() {
+        let portfolio = [
+            StreamingQuery::temporal(1_000).collect(CollectMode::Collect),
+            StreamingQuery::temporal(500).max_len(4),
+            StreamingQuery::simple(1_000)
+                .max_len(5)
+                .collect(CollectMode::Collect),
+            StreamingQuery::simple(1_000)
+                .max_len(5)
+                .collect(CollectMode::Collect),
+        ];
+        let edges = [
+            e(0, 1, 1),
+            e(1, 2, 2),
+            e(2, 0, 3),
+            e(0, 2, 4),
+            e(2, 1, 5),
+            e(1, 0, 6),
+            e(2, 3, 7),
+            e(3, 2, 8),
+        ];
+        for threads in [1, 2] {
+            let build = |strategy: FanOutStrategy| {
+                let mut engine = MultiStreamingEngine::with_threads(1_000, threads)
+                    .unwrap()
+                    .with_fan_out(strategy);
+                for q in &portfolio {
+                    engine.subscribe(q.clone()).unwrap();
+                }
+                engine
+            };
+            let mut naive = build(FanOutStrategy::Naive);
+            let mut indexed = build(FanOutStrategy::Indexed);
+            let mut saw_candidates = false;
+            for chunk in edges.chunks(4) {
+                let rn = naive.ingest(chunk).unwrap();
+                let ri = indexed.ingest(chunk).unwrap();
+                assert_eq!(rn.candidates, ri.candidates);
+                assert!(!rn.fan_out.parallel);
+                if ri.candidates > 0 {
+                    saw_candidates = true;
+                    assert_eq!(ri.fan_out.parallel, threads > 1, "{threads} threads");
+                }
+                for (a, b) in rn.reports.iter().zip(&ri.reports) {
+                    assert_eq!(a.query, b.query);
+                    assert_eq!(a.cycles_found, b.cycles_found, "query {}", a.query);
+                    let canon = |r: &BatchReport| {
+                        let mut c: Vec<StreamCycle> =
+                            r.cycles.iter().map(StreamCycle::canonicalize).collect();
+                        c.sort_by(|x, y| x.edges.cmp(&y.edges));
+                        c
+                    };
+                    assert_eq!(canon(a), canon(b), "query {}", a.query);
+                }
+            }
+            assert!(saw_candidates, "the stream must close cycles");
+            for (key, _, _) in indexed.subscription_index().summaries() {
+                let latency = indexed
+                    .cohort_latency(&key)
+                    .unwrap_or_else(|| panic!("{threads} threads: no latency for {key}"));
+                assert!(latency.count() > 0);
+            }
+        }
     }
 
     #[test]

@@ -83,18 +83,6 @@ impl CycleUnionWorkspace {
         self.fwd_epoch[v] == self.epoch && self.bwd_epoch[v] == self.epoch
     }
 
-    /// Is `v` forward-reachable from the root's head (`v1`)?
-    #[inline]
-    pub fn forward_reachable(&self, v: VertexId) -> bool {
-        self.fwd_epoch[v as usize] == self.epoch
-    }
-
-    /// Can `v` reach the root's tail (`v0`)?
-    #[inline]
-    pub fn backward_reachable(&self, v: VertexId) -> bool {
-        self.bwd_epoch[v as usize] == self.epoch
-    }
-
     /// Vertices of the current cycle-union (unordered).
     #[inline]
     pub fn union_members(&self) -> &[VertexId] {

@@ -225,36 +225,6 @@ impl TemporalGraph {
         lo..hi
     }
 
-    /// Returns a *simple projection* of this graph: parallel edges collapsed
-    /// (keeping the earliest timestamp) and self-loops removed. The classic
-    /// (unconstrained, vertex-rooted) simple cycle enumeration problem is
-    /// defined on simple digraphs; tests and the quickstart example use this.
-    pub fn simple_projection(&self) -> TemporalGraph {
-        let mut seen = std::collections::HashSet::with_capacity(self.edges.len());
-        let mut edges = Vec::with_capacity(self.edges.len());
-        for &e in &self.edges {
-            if e.src != e.dst && seen.insert((e.src, e.dst)) {
-                edges.push(e);
-            }
-        }
-        crate::GraphBuilder::from_edges(self.num_vertices, edges).build()
-    }
-
-    /// Returns the subgraph induced by the given vertex set. Vertex ids are
-    /// preserved (the result has the same `num_vertices`); only edges with
-    /// both endpoints in `keep` survive. Used by tests and by SCC-based
-    /// decompositions.
-    pub fn induced_subgraph(&self, keep: &[bool]) -> TemporalGraph {
-        assert_eq!(keep.len(), self.num_vertices);
-        let edges: Vec<TemporalEdge> = self
-            .edges
-            .iter()
-            .copied()
-            .filter(|e| keep[e.src as usize] && keep[e.dst as usize])
-            .collect();
-        crate::GraphBuilder::from_edges(self.num_vertices, edges).build()
-    }
-
     /// Returns the reverse graph (every edge `u → v` becomes `v → u`,
     /// timestamps preserved).
     pub fn reversed(&self) -> TemporalGraph {
@@ -375,24 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn simple_projection_collapses_parallel_edges_and_self_loops() {
-        let g = GraphBuilder::new()
-            .add_edge(0, 1, 1)
-            .add_edge(0, 1, 2)
-            .add_edge(0, 1, 3)
-            .add_edge(1, 1, 4)
-            .add_edge(1, 0, 5)
-            .build();
-        let s = g.simple_projection();
-        assert_eq!(s.num_edges(), 2);
-        assert!(s.has_edge(0, 1));
-        assert!(s.has_edge(1, 0));
-        assert!(!s.has_edge(1, 1));
-        // Keeps the earliest timestamp of a parallel bundle.
-        assert_eq!(s.out_edges(0)[0].ts, 1);
-    }
-
-    #[test]
     fn reversed_graph() {
         let g = diamond();
         let r = g.reversed();
@@ -400,19 +352,6 @@ mod tests {
         assert!(r.has_edge(1, 0));
         assert!(r.has_edge(0, 3));
         assert!(!r.has_edge(0, 1));
-    }
-
-    #[test]
-    fn induced_subgraph_filters_edges() {
-        let g = diamond();
-        let keep = vec![true, true, false, true];
-        let sub = g.induced_subgraph(&keep);
-        assert_eq!(sub.num_vertices(), 4);
-        // Edges touching vertex 2 are gone.
-        assert_eq!(sub.num_edges(), 3);
-        assert!(sub.has_edge(0, 1));
-        assert!(!sub.has_edge(0, 2));
-        assert!(!sub.has_edge(2, 3));
     }
 
     #[test]

@@ -168,16 +168,6 @@ impl DurabilityReport {
             self.durable_secs / self.plain_secs
         }
     }
-
-    /// Recovery throughput in batches/second over the replayed+hydrated
-    /// portion.
-    pub fn recovered_batches_per_sec(&self) -> f64 {
-        if self.recovery_secs <= f64::EPSILON {
-            0.0
-        } else {
-            (self.replayed_batches + self.hydrated_batches) as f64 / self.recovery_secs
-        }
-    }
 }
 
 /// Runs the durability scenario on the given backend. See the

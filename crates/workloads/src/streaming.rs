@@ -183,21 +183,14 @@ impl StreamingReport {
     }
 
     /// Per-batch latency percentile (`p` in `0.0..=1.0`), in seconds — the
-    /// nearest-rank percentile (1-based rank `⌈p·n⌉`), matching
-    /// [`LatencyStats::percentile_secs`]. Total-order comparison keeps a NaN
-    /// sample (which would have made the old `partial_cmp` sort panic) at the
-    /// top instead of aborting the report.
+    /// nearest-rank percentile of [`LatencyStats::percentile_secs`] over the
+    /// batches' latencies (0 with no batches).
     pub fn latency_percentile_secs(&self, p: f64) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
+        let mut latencies = LatencyStats::new();
+        for row in &self.rows {
+            latencies.record(row.latency_secs());
         }
-        let mut latencies: Vec<f64> = self.rows.iter().map(StreamBatchRow::latency_secs).collect();
-        latencies.sort_by(f64::total_cmp);
-        let n = latencies.len();
-        let idx = ((p.clamp(0.0, 1.0) * n as f64).ceil() as usize)
-            .saturating_sub(1)
-            .min(n - 1);
-        latencies[idx]
+        latencies.percentile_secs(p)
     }
 
     /// Worst per-batch latency in seconds.
@@ -518,7 +511,7 @@ pub struct MultiTenantReport {
     /// batches (see [`pce_core::FanOutReport::checks`]) — the deterministic
     /// dispatch-cost measure compared across strategies.
     pub fan_out_checks: u64,
-    /// Batches whose fan-out ran as deferred parallel tasks on the pool.
+    /// Batches whose fan-out dispatch ran on the pool.
     pub parallel_batches: usize,
     /// End-to-end wall-clock seconds for the whole replay.
     pub wall_secs: f64,
@@ -657,7 +650,7 @@ impl FanOutScaleConfig {
 /// The result of one fan-out scaling run (one strategy over one portfolio).
 #[derive(Debug, Clone)]
 pub struct FanOutScaleReport {
-    /// Worker threads the shared pass (and any deferred dispatch) used.
+    /// Worker threads the shared pass and the fan-out dispatch used.
     pub threads: usize,
     /// The strategy that dispatched every batch.
     pub strategy: FanOutStrategy,
@@ -672,7 +665,7 @@ pub struct FanOutScaleReport {
     /// Subscription-constraint checks performed across the replay — the
     /// deterministic dispatch-cost measure.
     pub fan_out_checks: u64,
-    /// Batches whose fan-out ran as deferred parallel tasks.
+    /// Batches whose fan-out dispatch ran on the pool.
     pub parallel_batches: usize,
     /// Per-subscription lifetime cycle totals, in subscription order (must
     /// be identical across strategies — asserted by `streaming_bench`).
@@ -903,7 +896,7 @@ mod tests {
             indexed.fan_out_checks,
             naive.fan_out_checks
         );
-        // 64 subscriptions on a 2-thread engine take the deferred path.
+        // A 2-thread engine dispatches on the pool.
         assert!(indexed.parallel_batches > 0);
         assert_eq!(naive.parallel_batches, 0);
         // The planted rings reach someone in the portfolio.

@@ -61,11 +61,11 @@ pub use pce_workloads as workloads;
 /// Convenience re-exports of the most commonly used types.
 pub mod prelude {
     pub use pce_core::{
-        Algorithm, BatchReport, BoundedSink, ChannelSink, CohortBatchStats, CohortKey, CollectMode,
-        CollectingSink, CountingSink, Cycle, CycleEnumerator, CycleKind, CycleSink, CycleStream,
-        Engine, EnumerationError, EnumerationResult, FanOutReport, FanOutStrategy, FirstKSink,
-        Granularity, LatencyStats, MultiBatchReport, MultiStreamingEngine, Query, QueryId,
-        RunStats, SimpleCycleOptions, StreamCycle, StreamingEngine, StreamingError, StreamingQuery,
+        Algorithm, BatchReport, ChannelSink, CohortBatchStats, CohortKey, CollectMode,
+        CollectingSink, CountingSink, Cycle, CycleKind, CycleSink, CycleStream, Engine,
+        EnumerationError, EnumerationResult, FanOutReport, FanOutStrategy, FirstKSink, Granularity,
+        LatencyStats, MultiBatchReport, MultiStreamingEngine, Query, QueryId, RunStats,
+        SimpleCycleOptions, StreamCycle, StreamingEngine, StreamingError, StreamingQuery,
         SubscriptionIndex, SubscriptionSnapshot, TemporalCycleOptions, WorkMetrics,
     };
     pub use pce_graph::{

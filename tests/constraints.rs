@@ -30,27 +30,24 @@ fn mixed_graph() -> TemporalGraph {
 }
 
 fn count_simple(graph: &TemporalGraph, window: Option<i64>, max_len: Option<usize>) -> u64 {
-    let mut e = CycleEnumerator::new()
-        .granularity(Granularity::FineGrained)
-        .threads(2);
+    let mut query = Query::simple().granularity(Granularity::FineGrained);
     if let Some(w) = window {
-        e = e.window(w);
+        query = query.window(w);
     }
     if let Some(l) = max_len {
-        e = e.max_len(l);
+        query = query.max_len(l);
     }
-    e.count_simple(graph)
+    Engine::with_threads(2).count(&query, graph).unwrap()
 }
 
 fn count_temporal(graph: &TemporalGraph, window: i64, max_len: Option<usize>) -> u64 {
-    let mut e = CycleEnumerator::new()
+    let mut query = Query::temporal()
         .granularity(Granularity::FineGrained)
-        .threads(2)
         .window(window);
     if let Some(l) = max_len {
-        e = e.max_len(l);
+        query = query.max_len(l);
     }
-    e.count_temporal(graph)
+    Engine::with_threads(2).count(&query, graph).unwrap()
 }
 
 #[test]
@@ -100,19 +97,19 @@ fn temporal_cycles_require_increasing_timestamps() {
 #[test]
 fn constraints_agree_across_algorithms_and_granularities() {
     let g = mixed_graph();
+    let engine = Engine::with_threads(3);
     for algo in [Algorithm::Johnson, Algorithm::ReadTarjan] {
         for gran in [
             Granularity::Sequential,
             Granularity::CoarseGrained,
             Granularity::FineGrained,
         ] {
-            let count = CycleEnumerator::new()
+            let query = Query::simple()
                 .algorithm(algo)
                 .granularity(gran)
-                .threads(3)
                 .window(50)
-                .max_len(3)
-                .count_simple(&g);
+                .max_len(3);
+            let count = engine.count(&query, &g).unwrap();
             assert_eq!(count, 3, "{algo:?}/{gran:?}");
         }
     }
@@ -125,14 +122,11 @@ fn self_loop_reporting_is_opt_in() {
         .add_edge(1, 2, 2)
         .add_edge(2, 1, 3)
         .build();
-    let without = CycleEnumerator::new()
-        .granularity(Granularity::Sequential)
-        .count_simple(&g);
+    let engine = Engine::with_threads(1);
+    let query = Query::simple().granularity(Granularity::Sequential);
+    let without = engine.count(&query, &g).unwrap();
     assert_eq!(without, 1);
-    let with = CycleEnumerator::new()
-        .granularity(Granularity::Sequential)
-        .include_self_loops(true)
-        .count_simple(&g);
+    let with = engine.count(&query.include_self_loops(true), &g).unwrap();
     assert_eq!(with, 2);
 }
 
@@ -145,16 +139,20 @@ fn workload_datasets_enumerate_consistently_at_small_scale() {
     small.num_edges = 1_500;
     small.num_vertices = 150;
     let workload = small.build();
-    let coarse = CycleEnumerator::new()
-        .granularity(Granularity::CoarseGrained)
-        .threads(4)
-        .window(spec.delta_temporal)
-        .count_temporal(&workload.graph);
-    let fine = CycleEnumerator::new()
-        .granularity(Granularity::FineGrained)
-        .threads(4)
-        .window(spec.delta_temporal)
-        .count_temporal(&workload.graph);
+    let engine = Engine::with_threads(4);
+    let query = Query::temporal().window(spec.delta_temporal);
+    let coarse = engine
+        .count(
+            &query.clone().granularity(Granularity::CoarseGrained),
+            &workload.graph,
+        )
+        .unwrap();
+    let fine = engine
+        .count(
+            &query.granularity(Granularity::FineGrained),
+            &workload.graph,
+        )
+        .unwrap();
     assert_eq!(coarse, fine);
     assert!(
         fine > 0,

@@ -61,8 +61,8 @@ fn first_k_is_exact_under_parallel_execution() {
     }
 }
 
-/// Repeated runs on one engine (one pool) agree with fresh-pool runs through
-/// the legacy per-call front end.
+/// Repeated runs on one engine (one pool) agree with runs on a fresh engine
+/// (and therefore a fresh pool) per call.
 #[test]
 fn engine_reuse_matches_fresh_pool_runs() {
     let graph = generators::power_law_temporal(generators::RandomTemporalConfig {
@@ -76,22 +76,21 @@ fn engine_reuse_matches_fresh_pool_runs() {
     let first = engine.count(&query, &graph).unwrap();
     let second = engine.count(&query, &graph).unwrap();
     assert_eq!(first, second, "reused pool must not change results");
-    let fresh = CycleEnumerator::new()
-        .granularity(Granularity::FineGrained)
-        .threads(3)
-        .window(25)
-        .count_simple(&graph);
-    assert_eq!(
-        first, fresh,
-        "engine must agree with the fresh-pool wrapper"
-    );
+    let fresh = Engine::with_threads(3)
+        .count(
+            &Query::simple()
+                .granularity(Granularity::FineGrained)
+                .window(25),
+            &graph,
+        )
+        .unwrap();
+    assert_eq!(first, fresh, "engine must agree with a fresh engine");
 
     // Mixed kinds over the same engine.
     let temporal = engine.count(&Query::temporal().window(25), &graph).unwrap();
-    let temporal_fresh = CycleEnumerator::new()
-        .threads(3)
-        .window(25)
-        .count_temporal(&graph);
+    let temporal_fresh = Engine::with_threads(3)
+        .count(&Query::temporal().window(25), &graph)
+        .unwrap();
     assert_eq!(temporal, temporal_fresh);
     assert!(temporal <= first, "temporal cycles are a subset");
 }
