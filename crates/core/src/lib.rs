@@ -11,7 +11,7 @@
 //! | Johnson | [`seq::johnson`] | [`par::coarse`] | [`par::fine_johnson`] |
 //! | Read-Tarjan | [`seq::read_tarjan`] | [`par::coarse`] | [`par::fine_read_tarjan`] |
 //! | Temporal (2SCENT-style) | [`seq::temporal`] | [`par::coarse`] | [`par::fine_temporal`] (in-place search, branches split off on demand for idle workers) |
-//! | Delta (max-edge-rooted, streaming; [`delta::run`]) | [`delta::Schedule::Sequential`] | [`delta::Schedule::PerRoot`] | [`delta::Schedule::Fine`] |
+//! | Delta (max-edge-rooted, streaming; [`delta::run`]) | [`delta::Schedule::Sequential`] | [`delta::Schedule::PerRoot`] | [`delta::Schedule::Fine`] (in-place search, splits on demand) |
 //! | Multi-query subscriptions (one shared delta pass, per-query fan-out) | [`MultiStreamingEngine`] at [`Granularity::Sequential`] | … at [`Granularity::CoarseGrained`] (default) | … at [`Granularity::FineGrained`] (via [`MultiStreamingEngine::with_granularity`]) |
 //!
 //! All enumerators share the same problem definitions (see [`cycle`]), report
@@ -25,8 +25,8 @@
 //! [`StreamingEngine`] ingests timestamp-ordered batches into a sliding
 //! window and enumerates only the cycles each batch closes (the [`delta`]
 //! enumerators, rooted at a cycle's maximum edge instead of its minimum) —
-//! sequentially, coarse-grained, or with the paper's fine-grained stealable
-//! task decomposition ([`StreamingQuery::granularity`]). For *many*
+//! sequentially, coarse-grained, or with the paper's fine-grained
+//! copy-on-steal decomposition ([`StreamingQuery::granularity`]). For *many*
 //! concurrent standing queries over one stream, [`MultiStreamingEngine`]
 //! shares the ingest, the delta root scan and the per-root pruning pass
 //! across all subscriptions and fans per-query results out by [`QueryId`]

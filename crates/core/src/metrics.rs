@@ -82,9 +82,9 @@ impl WorkMetrics {
     }
 
     /// Records one copy of the search state (copy-on-steal or task copy).
-    /// The fine temporal enumerators copy only when they split work off for
-    /// an idle worker, so for them the count depends on scheduling, like
-    /// steals do.
+    /// The fine temporal enumerators and the fine delta schedule copy only
+    /// when they split work off for an idle worker, so for them the count
+    /// depends on scheduling, like steals do.
     #[inline]
     pub fn copy_event(&self, worker: usize) {
         self.slot(worker)
@@ -195,9 +195,10 @@ pub struct WorkerWork {
     pub edge_visits: u64,
     /// Recursive calls / tasks executed.
     pub recursive_calls: u64,
-    /// Search-state copies performed. For the fine temporal enumerators this
-    /// counts on-demand splits (one per task handed to an idle worker), not
-    /// recursive calls, and depends on scheduling like `steal_events`.
+    /// Search-state copies performed. For the fine temporal enumerators and
+    /// the fine delta schedule this counts on-demand splits (one per task
+    /// handed to an idle worker), not recursive calls, and depends on
+    /// scheduling like `steal_events`.
     pub copy_events: u64,
     /// Branches stolen from other workers.
     pub steal_events: u64,

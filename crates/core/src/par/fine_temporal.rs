@@ -7,18 +7,11 @@
 //! path prefix — the temporal analogue of the fine-grained decomposition of
 //! §5/§6.
 //!
-//! Tasks are split off **on demand** (copy-on-steal). The worker that claims
-//! a root runs the rooted search in place, depth-first, on its own reusable
-//! buffers and an explicit frame stack — one frame per recursion level,
-//! holding the level's not yet scanned out-edges — so a recursive call
-//! allocates nothing and spawns nothing. Before each descent the worker asks
-//! the pool whether a worker is idle ([`WorkerCtx::idle_workers`]) that no
-//! earlier split is still waiting for. Only then does it split: the first
-//! half of the shallowest frame's unscanned edges (the largest unexplored
-//! subtrees) goes to one new task with a copy of the path prefix, and the
-//! worker that runs it recomputes the root's union in its own workspace. A
-//! lone busy worker never copies; a worker that falls idle is handed work at
-//! the busy worker's next descent.
+//! The worker that claims a root runs the rooted search in place on the
+//! split skeleton it shares with the streaming delta search, and splits
+//! branches off only when the pool reports an idle worker; the worker that
+//! takes a split recomputes the root's union in its own workspace. This
+//! module keeps only the extension step and the Read-Tarjan-style probe.
 //!
 //! Two disciplines are provided, mirroring the two algorithm families the
 //! paper evaluates on temporal graphs:
@@ -33,18 +26,16 @@
 //!   Read-Tarjan family — but never explores a branch that cannot produce a
 //!   cycle.
 
+use super::split::{self, Buffers, Driver, Frame, Split, Workers};
 use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::TemporalCycleOptions;
 use crate::seq::RootScratch;
 use crate::util::FxHashSet;
 use crate::{Algorithm, Granularity};
-use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 use pce_graph::reach::CycleUnionWorkspace;
-use pce_graph::{AdjEntry, EdgeId, TemporalGraph, TimeWindow, Timestamp, VertexId};
+use pce_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp, VertexId};
 use pce_sched::{DynamicCounter, Scope, ThreadPool, WorkerCtx};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Which fine-grained discipline to use.
@@ -62,13 +53,7 @@ struct Shared<'g, S> {
     metrics: &'g WorkMetrics,
     opts: &'g TemporalCycleOptions,
     style: TemporalStyle,
-    /// Split tasks spawned but not started yet: an idle worker is only worth
-    /// a new split while no earlier one is waiting for it.
-    waiting: AtomicUsize,
-    /// One search state per worker. A worker runs one task at a time, so its
-    /// slot is never contended. Padded so that one worker's frame and path
-    /// writes do not invalidate the cache line holding a neighbour's state.
-    workers: Vec<CachePadded<Mutex<WorkerState<'g>>>>,
+    workers: Workers<WorkerState<'g>>,
 }
 
 /// A worker's reusable search state.
@@ -76,37 +61,14 @@ struct WorkerState<'g> {
     buf: Buffers<'g>,
     /// The cycle union of the root being searched.
     scratch: RootScratch,
+    probe: Probe,
 }
 
-/// The path of the search a worker runs and one frame per recursion level.
+/// Read-Tarjan-style probe stack and its visited `(vertex, arrival)` set.
 #[derive(Default)]
-struct Buffers<'g> {
-    /// Path length when the search was loaded: `frames[i]` extends a path of
-    /// `base + i` vertices.
-    base: usize,
-    /// The not yet scanned out-edges of each level, shallowest first.
-    frames: Vec<&'g [AdjEntry]>,
-    path: Vec<VertexId>,
-    path_edges: Vec<EdgeId>,
-    on_path: FxHashSet<VertexId>,
-    /// Read-Tarjan-style probe stack and its visited `(vertex, arrival)` set.
-    probe_stack: Vec<(VertexId, Timestamp)>,
-    probe_seen: FxHashSet<(VertexId, Timestamp)>,
-}
-
-impl<'g> Buffers<'g> {
-    /// Loads a search: the path so far and the unscanned out-edges of its tip.
-    fn load(&mut self, path: &[VertexId], path_edges: &[EdgeId], edges: &'g [AdjEntry]) {
-        self.base = path.len();
-        self.frames.clear();
-        self.frames.push(edges);
-        self.path.clear();
-        self.path.extend_from_slice(path);
-        self.path_edges.clear();
-        self.path_edges.extend_from_slice(path_edges);
-        self.on_path.clear();
-        self.on_path.extend(path.iter().copied());
-    }
+struct Probe {
+    stack: Vec<(VertexId, Timestamp)>,
+    seen: FxHashSet<(VertexId, Timestamp)>,
 }
 
 /// The read-only facts of one rooted search.
@@ -115,17 +77,6 @@ struct Rooted<'u> {
     v0: VertexId,
     t_end: Timestamp,
     union: &'u CycleUnionWorkspace,
-}
-
-/// Unscanned edges of one frame of a rooted search, split off for an idle
-/// worker together with a copy of the path up to that frame.
-struct Split<'g> {
-    root: EdgeId,
-    path: Vec<VertexId>,
-    path_edges: Vec<EdgeId>,
-    edges: &'g [AdjEntry],
-    /// Worker that split it off; running it elsewhere is a steal.
-    spawned_by: usize,
 }
 
 impl<'g, S: CycleSink> Shared<'g, S> {
@@ -139,8 +90,12 @@ impl<'g, S: CycleSink> Shared<'g, S> {
     ) {
         let worker = ctx.worker_id();
         let graph = self.graph;
-        let mut state = self.workers[worker].lock();
-        let WorkerState { buf, scratch } = &mut *state;
+        let mut state = self.workers.lock(worker);
+        let WorkerState {
+            buf,
+            scratch,
+            probe,
+        } = &mut *state;
         while let Some(root) = counter.next() {
             if self.sink.stopped() {
                 break;
@@ -162,48 +117,13 @@ impl<'g, S: CycleSink> Shared<'g, S> {
                 buf.load(
                     &[e0.src, e0.dst],
                     &[root],
-                    graph.out_edges_in_window(e0.dst, window),
+                    Frame::new(graph.out_edges_in_window(e0.dst, window)),
                 );
                 self.metrics.recursive_call(worker);
-                self.search(buf, &rooted, scope, ctx);
+                self.search(buf, probe, &rooted, scope, ctx);
             }
             self.metrics.add_busy(worker, start.elapsed());
         }
-    }
-
-    /// Runs a split-off part of a rooted search to completion. The worker
-    /// recomputes the root's union in its own workspace: one union pass per
-    /// split, where the searcher itself would pay a hash lookup per edge on a
-    /// shared snapshot.
-    fn run_split<'scope>(
-        &'scope self,
-        task: Split<'g>,
-        scope: &Scope<'scope>,
-        ctx: &WorkerCtx<'_>,
-    ) {
-        self.waiting.fetch_sub(1, Ordering::Relaxed);
-        // A task scheduled after the sink stopped the run returns immediately
-        // (and splits nothing), so the scope drains quickly.
-        if self.sink.stopped() {
-            return;
-        }
-        let worker = ctx.worker_id();
-        if worker != task.spawned_by {
-            // The pool's deques moved the task; record the steal where it runs.
-            self.metrics.steal_event(worker);
-        }
-        let start = Instant::now();
-        let mut state = self.workers[worker].lock();
-        let WorkerState { buf, scratch } = &mut *state;
-        let nonempty =
-            scratch
-                .union
-                .compute_temporal(self.graph, task.root, self.opts.window_delta);
-        debug_assert!(nonempty, "a split root has a non-empty union");
-        buf.load(&task.path, &task.path_edges, task.edges);
-        self.search(buf, &self.rooted(task.root, &scratch.union), scope, ctx);
-        drop(state);
-        self.metrics.add_busy(worker, start.elapsed());
     }
 
     fn rooted<'u>(&self, root: EdgeId, union: &'u CycleUnionWorkspace) -> Rooted<'u> {
@@ -216,38 +136,20 @@ impl<'g, S: CycleSink> Shared<'g, S> {
         }
     }
 
-    /// Depth-first search over the frames loaded in `buf`, in the sequential
-    /// order; splits work off for idle workers before descending. Winds down
-    /// early once the sink stops the run.
+    /// Runs the search loaded in `buf` on the split skeleton with this
+    /// discipline's extension step.
     fn search<'scope>(
         &'scope self,
         buf: &mut Buffers<'g>,
+        probe: &mut Probe,
         rooted: &Rooted<'_>,
         scope: &Scope<'scope>,
         ctx: &WorkerCtx<'_>,
     ) {
         let worker = ctx.worker_id();
         let (graph, union) = (self.graph, rooted.union);
-        while let Some(frame) = buf.frames.last_mut() {
-            let edges = *frame;
-            let Some((&entry, rest)) = edges.split_first() else {
-                buf.frames.pop();
-                if !buf.frames.is_empty() {
-                    // Backtrack over the exhausted level's vertex.
-                    let v = buf
-                        .path
-                        .pop()
-                        .expect("a deeper frame has its vertex on the path");
-                    buf.path_edges.pop();
-                    buf.on_path.remove(&v);
-                }
-                continue;
-            };
-            *frame = rest;
-            if self.sink.stopped() {
-                return;
-            }
-            self.metrics.edge_visit(worker);
+        let split = Some((scope, ctx));
+        split::search(self, buf, rooted.root, worker, split, |buf, _, entry| {
             let w = entry.neighbor;
             if w == rooted.v0 {
                 if self.opts.len_ok(buf.path_edges.len() + 1) {
@@ -255,83 +157,36 @@ impl<'g, S: CycleSink> Shared<'g, S> {
                     self.sink.push(&buf.path, &buf.path_edges);
                     buf.path_edges.pop();
                 }
-                continue;
+                return None;
             }
             if buf.on_path.contains(&w)
                 || !union.in_union(w)
                 || !union.can_close_after(w, entry.ts)
                 || !self.opts.len_ok(buf.path_edges.len() + 2)
+                || (self.style == TemporalStyle::ReadTarjan
+                    && !self.has_completion(&buf.on_path, probe, worker, rooted, w, entry.ts))
             {
-                continue;
+                return None;
             }
-            buf.on_path.insert(w);
-            if self.style == TemporalStyle::ReadTarjan
-                && !self.has_completion(buf, worker, rooted, w, entry.ts)
-            {
-                buf.on_path.remove(&w);
-                continue;
-            }
-            let idle = ctx.idle_workers();
-            if idle > 0 && idle > self.waiting.load(Ordering::Relaxed) {
-                self.split(buf, rooted.root, scope, ctx);
-            }
-            self.metrics.recursive_call(worker);
-            buf.path.push(w);
-            buf.path_edges.push(entry.edge);
             let window = TimeWindow::new(entry.ts.saturating_add(1), rooted.t_end);
-            buf.frames.push(graph.out_edges_in_window(w, window));
-        }
-    }
-
-    /// Hands the first half of the shallowest frame that still has unscanned
-    /// edges to a new task. Shallow frames hold the largest subtrees, and
-    /// within a frame the earliest edges leave the most of the window to
-    /// extend in.
-    fn split<'scope>(
-        &'scope self,
-        buf: &mut Buffers<'g>,
-        root: EdgeId,
-        scope: &Scope<'scope>,
-        ctx: &WorkerCtx<'_>,
-    ) {
-        let Some(depth) = buf.frames.iter().position(|f| !f.is_empty()) else {
-            return;
-        };
-        let frame = buf.frames[depth];
-        let (give, keep) = frame.split_at(frame.len().div_ceil(2));
-        buf.frames[depth] = keep;
-        let prefix = buf.base + depth;
-        let worker = ctx.worker_id();
-        self.metrics.copy_event(worker);
-        self.waiting.fetch_add(1, Ordering::Relaxed);
-        let task = Split {
-            root,
-            path: buf.path[..prefix].to_vec(),
-            path_edges: buf.path_edges[..prefix - 1].to_vec(),
-            edges: give,
-            spawned_by: worker,
-        };
-        ctx.spawn(scope, move |scope, ctx| self.run_split(task, scope, ctx));
+            Some(Frame::new(graph.out_edges_in_window(w, window)))
+        });
     }
 
     /// Depth-first probe: does a temporal path from `start` (reached at
-    /// `arrival` and already on the path) back to the root tail exist that
-    /// avoids the path? Uses the static closing-time bound for pruning;
+    /// `arrival`) back to the root tail exist that avoids the path and
+    /// `start` itself? Uses the static closing-time bound for pruning;
     /// visited dead ends are memoised for the duration of the probe.
     fn has_completion(
         &self,
-        buf: &mut Buffers<'g>,
+        on_path: &FxHashSet<VertexId>,
+        probe: &mut Probe,
         worker: usize,
         rooted: &Rooted<'_>,
         start: VertexId,
         arrival: Timestamp,
     ) -> bool {
-        let Buffers {
-            on_path,
-            probe_stack: stack,
-            probe_seen: seen,
-            ..
-        } = buf;
+        let Probe { stack, seen } = probe;
         stack.clear();
         seen.clear();
         stack.push((start, arrival));
@@ -344,7 +199,8 @@ impl<'g, S: CycleSink> Shared<'g, S> {
                 if w == rooted.v0 {
                     return true;
                 }
-                if on_path.contains(&w)
+                if w == start
+                    || on_path.contains(&w)
                     || !rooted.union.in_union(w)
                     || !rooted.union.can_close_after(w, entry.ts)
                 {
@@ -356,6 +212,54 @@ impl<'g, S: CycleSink> Shared<'g, S> {
             }
         }
         false
+    }
+}
+
+impl<'g, S: CycleSink> Driver<'g> for Shared<'g, S> {
+    type State = WorkerState<'g>;
+
+    fn workers(&self) -> &Workers<WorkerState<'g>> {
+        &self.workers
+    }
+
+    fn metrics(&self) -> &WorkMetrics {
+        self.metrics
+    }
+
+    fn stopped(&self) -> bool {
+        self.sink.stopped()
+    }
+
+    /// Recomputes the root's union in this worker's workspace: one union
+    /// pass per split, where the searcher itself would pay a hash lookup per
+    /// edge on a shared snapshot.
+    fn resume<'scope>(
+        &'scope self,
+        state: &mut WorkerState<'g>,
+        task: Split<'g>,
+        scope: &Scope<'scope>,
+        ctx: &WorkerCtx<'_>,
+    ) where
+        'g: 'scope,
+    {
+        let WorkerState {
+            buf,
+            scratch,
+            probe,
+        } = state;
+        let nonempty =
+            scratch
+                .union
+                .compute_temporal(self.graph, task.root, self.opts.window_delta);
+        debug_assert!(nonempty, "a split root has a non-empty union");
+        buf.load(&task.path, &task.path_edges, task.frame);
+        self.search(
+            buf,
+            probe,
+            &self.rooted(task.root, &scratch.union),
+            scope,
+            ctx,
+        );
     }
 }
 
@@ -377,15 +281,11 @@ fn run_fine_temporal<S: CycleSink>(
         metrics: &metrics,
         opts,
         style,
-        waiting: AtomicUsize::new(0),
-        workers: (0..threads)
-            .map(|_| {
-                CachePadded::new(Mutex::new(WorkerState {
-                    buf: Buffers::default(),
-                    scratch: RootScratch::new(graph.num_vertices()),
-                }))
-            })
-            .collect(),
+        workers: Workers::new((0..threads).map(|_| WorkerState {
+            buf: Buffers::default(),
+            scratch: RootScratch::new(graph.num_vertices()),
+            probe: Probe::default(),
+        })),
     };
 
     pool.scope(|scope| {

@@ -15,8 +15,13 @@
 //!   algorithms (§7), built on the scalable cycle-union preprocessing: the
 //!   owner of a root searches in place and copies a split-off branch range
 //!   only when the pool reports an idle worker (copy-on-demand).
+//!
+//! The in-place, split-on-demand skeleton behind [`fine_temporal`] is a
+//! private module shared with the streaming [`crate::delta`] search, whose
+//! schedules differ only in whether the search may split.
 
 pub mod coarse;
 pub mod fine_johnson;
 pub mod fine_read_tarjan;
 pub mod fine_temporal;
+pub(crate) mod split;

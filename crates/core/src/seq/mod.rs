@@ -21,12 +21,15 @@ use pce_graph::{EdgeId, TemporalGraph};
 use std::time::Instant;
 
 /// A per-worker scratch area reused across rooted searches: the cycle-union
-/// workspace plus the path/blocked buffers. Each sequential run owns one;
-/// parallel runs own one per worker.
+/// workspace plus the in-place search's path and frame buffers. Each
+/// sequential run owns one; parallel runs own one per worker.
 #[derive(Debug)]
 pub struct RootScratch {
     /// Cycle-union / reachability workspace (epoch-stamped, reused per root).
     pub union: pce_graph::reach::CycleUnionWorkspace,
+    /// The delta search's buffers, kept between runs so that a long-lived
+    /// engine allocates none per root.
+    pub(crate) search: crate::par::split::Buffers<'static>,
 }
 
 impl RootScratch {
@@ -34,6 +37,7 @@ impl RootScratch {
     pub fn new(n: usize) -> Self {
         Self {
             union: pce_graph::reach::CycleUnionWorkspace::new(n),
+            search: Default::default(),
         }
     }
 

@@ -29,9 +29,9 @@ use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::TemporalCycleOptions;
 use crate::seq::{timed_run, RootScratch};
-use crate::union::UnionQuery;
 use crate::util::{fx_set, FxHashSet};
 use crate::{Algorithm, Granularity};
+use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp, VertexId};
 
 struct TemporalSearch<'a, S> {
@@ -40,7 +40,7 @@ struct TemporalSearch<'a, S> {
     metrics: &'a WorkMetrics,
     worker: usize,
     opts: &'a TemporalCycleOptions,
-    union: &'a dyn UnionQuery,
+    union: &'a CycleUnionWorkspace,
     v0: VertexId,
     t_end: Timestamp,
     path: Vec<VertexId>,

@@ -12,10 +12,10 @@
 //!    every cycle is rooted at its maximum `(timestamp, id)` edge, which lies
 //!    in exactly one batch (see [`crate::delta`]). The batch's roots are
 //!    processed at the standing query's [`Granularity`] on the engine's
-//!    reusable thread pool: sequentially, as one dynamically-scheduled task
-//!    per root (coarse), or as copyable recursion-level tasks stolen
-//!    mid-search (fine — the right choice for skewed batches whose cycles
-//!    hang off one hot root).
+//!    reusable thread pool: sequentially, with workers claiming roots
+//!    dynamically (coarse), or with the same in-place search split on demand
+//!    for idle workers (fine — the right choice for skewed batches whose
+//!    cycles hang off one hot root).
 //! 3. **Resolution** — discovered cycles are resolved to concrete
 //!    [`TemporalEdge`] sequences ([`StreamCycle`]) before returning, because
 //!    dense edge ids are re-based when the window compacts.
@@ -205,13 +205,13 @@ impl StreamingQuery {
     /// engine's workers, mirroring [`Query::granularity`](crate::Query):
     ///
     /// * [`Granularity::Sequential`] — one thread sweeps the batch's roots.
-    /// * [`Granularity::CoarseGrained`] (the default) — one dynamically
-    ///   scheduled task per closing root: the cheapest dispatch, ideal when a
-    ///   batch closes many small, independent searches.
-    /// * [`Granularity::FineGrained`] — every recursion level of a rooted
-    ///   search is a stealable task: pick this when batches are *skewed* (a
-    ///   hub vertex closes most of a batch's cycles through few roots), where
-    ///   the coarse driver collapses to a single worker.
+    /// * [`Granularity::CoarseGrained`] (the default) — workers claim closing
+    ///   roots dynamically and search each alone: the cheapest dispatch,
+    ///   ideal when a batch closes many small, independent searches.
+    /// * [`Granularity::FineGrained`] — a rooted search is split on demand
+    ///   for idle workers: pick this when batches are *skewed* (a hub vertex
+    ///   closes most of a batch's cycles through few roots), where the coarse
+    ///   driver collapses to a single worker.
     ///
     /// With a single-threaded engine every granularity runs sequentially; the
     /// per-batch [`RunStats`] record what effectively executed.

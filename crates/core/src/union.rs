@@ -1,26 +1,25 @@
-//! Abstraction over the per-root cycle-union queries.
+//! Abstraction over the per-root simple-cycle union membership queries.
 //!
 //! The sequential and coarse-grained enumerators borrow the reusable
 //! [`CycleUnionWorkspace`] directly (array lookups, zero allocation per
-//! query). The fine-grained enumerators hand work to tasks that may outlive
-//! the root driver's stack frame, so they snapshot the union into an owned,
-//! shareable [`UnionView`] instead. Both implement [`UnionQuery`], which is
-//! what the search code is written against.
+//! query). Fine Johnson and fine Read-Tarjan hand simple-cycle work to tasks
+//! that may outlive the root driver's stack frame, so they snapshot the
+//! union's membership into an owned, shareable [`UnionView`] instead. Both
+//! implement [`UnionQuery`], which the Johnson and Read-Tarjan searches are
+//! written against. The temporal and delta searches read the workspace
+//! itself, closing times included: the in-place searches need no snapshot,
+//! because a worker that takes a split recomputes the union in its own
+//! workspace.
 
-use crate::util::{fx_map, fx_set, FxHashMap, FxHashSet};
+use crate::util::{fx_set, FxHashSet};
 use pce_graph::reach::CycleUnionWorkspace;
-use pce_graph::{Timestamp, VertexId};
+use pce_graph::VertexId;
 
 /// Read-only queries against a per-root cycle union.
 pub(crate) trait UnionQuery: Sync {
     /// Is `v` part of the cycle union (i.e. on at least one cycle through the
     /// root edge, ignoring vertex-disjointness)?
     fn in_union(&self, v: VertexId) -> bool;
-
-    /// Temporal-only: can a temporal path leave `v` strictly after `t` and
-    /// reach the root tail within the window? Implementations for the
-    /// simple-cycle problem return `true` unconditionally.
-    fn can_close_after(&self, v: VertexId, t: Timestamp) -> bool;
 }
 
 impl UnionQuery for CycleUnionWorkspace {
@@ -28,22 +27,14 @@ impl UnionQuery for CycleUnionWorkspace {
     fn in_union(&self, v: VertexId) -> bool {
         CycleUnionWorkspace::in_union(self, v)
     }
-
-    #[inline]
-    fn can_close_after(&self, v: VertexId, t: Timestamp) -> bool {
-        CycleUnionWorkspace::can_close_after(self, v, t)
-    }
 }
 
-/// An owned snapshot of a cycle union, shareable across tasks via `Arc`.
-/// Only the union members (and, for temporal searches, their latest departure
-/// times) are stored, so the size is proportional to the union, not to the
+/// An owned snapshot of a simple-cycle union's members, shareable across
+/// tasks via `Arc`; its size is proportional to the union, not to the
 /// graph.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UnionView {
     members: FxHashSet<VertexId>,
-    latest_departure: FxHashMap<VertexId, Timestamp>,
-    temporal: bool,
 }
 
 impl UnionView {
@@ -51,26 +42,7 @@ impl UnionView {
     pub(crate) fn from_simple(ws: &CycleUnionWorkspace) -> Self {
         let mut members = fx_set();
         members.extend(ws.union_members().iter().copied());
-        Self {
-            members,
-            latest_departure: fx_map(),
-            temporal: false,
-        }
-    }
-
-    /// Snapshot of a temporal union (membership plus latest departure times).
-    pub(crate) fn from_temporal(ws: &CycleUnionWorkspace) -> Self {
-        let mut members = fx_set();
-        let mut latest_departure = fx_map();
-        for &v in ws.union_members() {
-            members.insert(v);
-            latest_departure.insert(v, ws.latest_departure(v));
-        }
-        Self {
-            members,
-            latest_departure,
-            temporal: true,
-        }
+        Self { members }
     }
 
     /// Number of vertices in the snapshot.
@@ -84,17 +56,6 @@ impl UnionQuery for UnionView {
     #[inline]
     fn in_union(&self, v: VertexId) -> bool {
         self.members.contains(&v)
-    }
-
-    #[inline]
-    fn can_close_after(&self, v: VertexId, t: Timestamp) -> bool {
-        if !self.temporal {
-            return true;
-        }
-        match self.latest_departure.get(&v) {
-            Some(&ld) => ld > t,
-            None => false,
-        }
     }
 }
 
@@ -118,31 +79,5 @@ mod tests {
             assert_eq!(UnionQuery::in_union(&ws, v), view.in_union(v), "vertex {v}");
         }
         assert_eq!(view.len(), 3);
-        // Simple views never prune on closing times.
-        assert!(view.can_close_after(0, i64::MAX - 1));
-    }
-
-    #[test]
-    fn temporal_view_preserves_closing_times() {
-        let g = GraphBuilder::new()
-            .add_edge(0, 1, 1)
-            .add_edge(1, 2, 3)
-            .add_edge(2, 0, 5)
-            .build();
-        let mut ws = CycleUnionWorkspace::new(g.num_vertices());
-        assert!(ws.compute_temporal(&g, 0, 100));
-        let view = UnionView::from_temporal(&ws);
-        for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(UnionQuery::in_union(&ws, v), view.in_union(v));
-            for t in [0, 2, 3, 4, 5, 6] {
-                assert_eq!(
-                    UnionQuery::can_close_after(&ws, v, t),
-                    view.can_close_after(v, t),
-                    "vertex {v} time {t}"
-                );
-            }
-        }
-        // A vertex outside the union can never close.
-        assert!(!view.can_close_after(99, 0));
     }
 }

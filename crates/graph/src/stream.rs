@@ -39,7 +39,7 @@
 //! concrete [`TemporalEdge`]s immediately, so nothing outlives a batch.
 
 use crate::builder::GraphBuilder;
-use crate::temporal::{AdjEntry, TemporalGraph};
+use crate::temporal::{window_slice, AdjEntry, TemporalGraph};
 use crate::types::{EdgeId, TemporalEdge, Timestamp, VertexId};
 use crate::view::GraphView;
 use crate::window::TimeWindow;
@@ -343,12 +343,6 @@ impl SlidingWindowGraph {
         }
         self.expired = 0;
     }
-
-    fn window_slice(adj: &[AdjEntry], window: TimeWindow) -> &[AdjEntry] {
-        let lo = adj.partition_point(|a| a.ts < window.start);
-        let hi = adj.partition_point(|a| a.ts <= window.end);
-        &adj[lo..hi]
-    }
 }
 
 impl GraphView for SlidingWindowGraph {
@@ -364,12 +358,12 @@ impl GraphView for SlidingWindowGraph {
 
     #[inline]
     fn out_edges_in_window(&self, v: VertexId, window: TimeWindow) -> &[AdjEntry] {
-        Self::window_slice(&self.out_adj[v as usize], window)
+        window_slice(&self.out_adj[v as usize], window)
     }
 
     #[inline]
     fn in_edges_in_window(&self, v: VertexId, window: TimeWindow) -> &[AdjEntry] {
-        Self::window_slice(&self.in_adj[v as usize], window)
+        window_slice(&self.in_adj[v as usize], window)
     }
 
     #[inline]
@@ -407,6 +401,18 @@ mod tests {
         assert_eq!(b.roots, 3..4);
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.total_ingested(), 4);
+    }
+
+    #[test]
+    fn inverted_window_selects_no_edges() {
+        // `end < start`, with edges at ts 9 strictly inside the gap.
+        let mut g = SlidingWindowGraph::new(1_000);
+        g.append_batch(&edges(&[(0, 1, 5), (0, 2, 9), (1, 0, 9), (0, 3, 12)]))
+            .unwrap();
+        let window = TimeWindow::new(10, 8);
+        assert!(window.is_empty());
+        assert!(g.out_edges_in_window(0, window).is_empty());
+        assert!(g.in_edges_in_window(0, window).is_empty());
     }
 
     #[test]

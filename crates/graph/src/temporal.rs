@@ -23,6 +23,15 @@ pub struct AdjEntry {
     pub edge: EdgeId,
 }
 
+/// The entries of a `(ts, edge)`-sorted adjacency list whose timestamps fall
+/// inside `window`. The end is searched for only past the start, so an empty
+/// window (`end < start`) yields an empty slice.
+pub(crate) fn window_slice(adj: &[AdjEntry], window: TimeWindow) -> &[AdjEntry] {
+    let lo = adj.partition_point(|a| a.ts < window.start);
+    let rest = &adj[lo..];
+    &rest[..rest.partition_point(|a| a.ts <= window.end)]
+}
+
 /// An immutable directed temporal multigraph in CSR form.
 ///
 /// Construct one with [`crate::GraphBuilder`], a generator from
@@ -185,19 +194,13 @@ impl TemporalGraph {
     /// Outgoing edges of `v` whose timestamps fall inside `window`
     /// (inclusive on both ends), located by binary search.
     pub fn out_edges_in_window(&self, v: VertexId, window: TimeWindow) -> &[AdjEntry] {
-        Self::window_slice(self.out_edges(v), window)
+        window_slice(self.out_edges(v), window)
     }
 
     /// Incoming edges of `v` whose timestamps fall inside `window`
     /// (inclusive on both ends), located by binary search.
     pub fn in_edges_in_window(&self, v: VertexId, window: TimeWindow) -> &[AdjEntry] {
-        Self::window_slice(self.in_edges(v), window)
-    }
-
-    fn window_slice(adj: &[AdjEntry], window: TimeWindow) -> &[AdjEntry] {
-        let lo = adj.partition_point(|a| a.ts < window.start);
-        let hi = adj.partition_point(|a| a.ts <= window.end);
-        &adj[lo..hi]
+        window_slice(self.in_edges(v), window)
     }
 
     /// The smallest and largest timestamps in the graph, or `None` for an
@@ -270,6 +273,21 @@ mod tests {
         assert!(!g.is_empty());
         assert_eq!(g.time_range(), Some((1, 5)));
         assert_eq!(g.time_span(), 4);
+    }
+
+    #[test]
+    fn inverted_window_selects_no_edges() {
+        // `end < start`, with edges at ts 9 strictly inside the gap.
+        let g = GraphBuilder::new()
+            .add_edge(0, 1, 5)
+            .add_edge(0, 2, 9)
+            .add_edge(0, 3, 12)
+            .add_edge(1, 0, 9)
+            .build();
+        let window = TimeWindow::new(10, 8);
+        assert!(window.is_empty());
+        assert!(g.out_edges_in_window(0, window).is_empty());
+        assert!(g.in_edges_in_window(0, window).is_empty());
     }
 
     #[test]

@@ -1073,7 +1073,10 @@ fn extended_predicate_sweep_is_byte_identical() {
 /// streaming level: a batch whose cycles all hang off one hot root must
 /// engage more than one worker under fine granularity — with the steal
 /// activity recorded in the batch's `RunStats`/`WorkMetrics` — where the
-/// coarse driver necessarily pins to a single worker.
+/// coarse driver necessarily pins to a single worker. The fine search splits
+/// only when an idle worker is scheduled in time, so the spread check gets a
+/// few attempts on a multicore and is skipped on one core; the cycle count
+/// and the copy bound hold on every run.
 #[test]
 fn single_hot_root_batch_engages_multiple_workers_under_fine() {
     let graph = hub_burst(2, 13);
@@ -1093,21 +1096,35 @@ fn single_hot_root_batch_engages_multiple_workers_under_fine() {
         engine.ingest(burst).expect("in-order burst")
     };
 
-    let fine = burst_report(Granularity::FineGrained);
-    assert_eq!(fine.cycles_found, expected);
-    assert_eq!(fine.stats.granularity, Some(Granularity::FineGrained));
+    let single_core = parallel_cycle_enumeration::sched::available_parallelism() < 2;
+    let attempts = if single_core { 1 } else { 5 };
+    let mut spread = false;
+    for attempt in 0..attempts {
+        let fine = burst_report(Granularity::FineGrained);
+        assert_eq!(fine.cycles_found, expected, "attempt {attempt}");
+        assert_eq!(fine.stats.granularity, Some(Granularity::FineGrained));
+        let work = &fine.stats.work;
+        let calls = work.total_recursive_calls();
+        assert!(
+            work.total_copies() <= calls / 4,
+            "attempt {attempt}: {} copies for {calls} calls",
+            work.total_copies()
+        );
+        let busy = work
+            .workers
+            .iter()
+            .filter(|w| w.recursive_calls > 0)
+            .count();
+        // Steals must be recorded in the batch WorkMetrics.
+        spread = busy > 1 && work.total_steals() > 0;
+        if spread {
+            break;
+        }
+    }
     assert!(
-        fine.stats.work.total_steals() > 0,
-        "steals must be recorded in the batch WorkMetrics"
+        spread || single_core,
+        "fine granularity must engage several workers, with steals, in {attempts} runs"
     );
-    let busy = fine
-        .stats
-        .work
-        .workers
-        .iter()
-        .filter(|w| w.recursive_calls > 0)
-        .count();
-    assert!(busy > 1, "fine granularity must engage several workers");
 
     // Identical results from the coarse driver, which cannot spread a
     // single-root batch.
