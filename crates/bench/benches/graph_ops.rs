@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pce_graph::generators::{self, RandomTemporalConfig};
 use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::scc::tarjan_scc;
-use pce_graph::{GraphBuilder, TimeWindow};
+use pce_graph::{CyclePredicate, GraphBuilder, TimeWindow};
 
 fn workload() -> pce_graph::TemporalGraph {
     generators::power_law_temporal(RandomTemporalConfig {
@@ -63,8 +63,11 @@ fn bench_cycle_union(c: &mut Criterion) {
     let graph = workload();
     let mut group = c.benchmark_group("cycle_union_preprocessing");
     group.sample_size(10);
+    // Every root of one stretch of the stream, for the simple passes: the
+    // min-rooted one-shot pass and the max-rooted delta pass.
+    let roots = graph.edge_ids_in_window(TimeWindow::new(200_000, 250_000));
     for &delta in &[10_000i64, 50_000] {
-        group.bench_with_input(BenchmarkId::from_parameter(delta), &delta, |b, &delta| {
+        group.bench_with_input(BenchmarkId::new("temporal", delta), &delta, |b, &delta| {
             let mut ws = CycleUnionWorkspace::new(graph.num_vertices());
             b.iter(|| {
                 let mut feasible = 0usize;
@@ -77,6 +80,36 @@ fn bench_cycle_union(c: &mut Criterion) {
                 feasible
             })
         });
+        group.bench_with_input(BenchmarkId::new("simple", delta), &delta, |b, &delta| {
+            let mut ws = CycleUnionWorkspace::new(graph.num_vertices());
+            b.iter(|| {
+                roots
+                    .clone()
+                    .filter(|&root| {
+                        let window = TimeWindow::from_start(graph.edge(root).ts, delta);
+                        ws.compute_simple(&graph, root, window)
+                    })
+                    .count()
+            })
+        });
+        group.bench_with_input(
+            BenchmarkId::new("simple_before", delta),
+            &delta,
+            |b, &delta| {
+                let mut ws = CycleUnionWorkspace::new(graph.num_vertices());
+                let all = CyclePredicate::pass_all();
+                b.iter(|| {
+                    roots
+                        .clone()
+                        .filter(|&root| {
+                            let ts = graph.edge(root).ts;
+                            let window = TimeWindow::new(ts - delta, ts);
+                            ws.compute_simple_before(&graph, root, window, &all)
+                        })
+                        .count()
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -142,13 +142,11 @@ pub fn bundled_temporal_count(
             if e0.src == e0.dst {
                 continue;
             }
-            if !scratch
-                .union
-                .compute_temporal(graph, root, opts.window_delta)
-            {
+            if !metrics.counted_union_pass(0, &mut scratch.union, |u| {
+                u.compute_temporal(graph, root, opts.window_delta)
+            }) {
                 continue;
             }
-            metrics.root_processed(0);
             let mut on_path = fx_set();
             on_path.insert(e0.src);
             on_path.insert(e0.dst);

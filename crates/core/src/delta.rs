@@ -40,9 +40,9 @@
 //!   rooted search on demand (copy-on-steal, §5/§7 applied to the backward
 //!   search): before a descent, if a worker is idle, the shallowest frame's
 //!   first half goes to a new task with a copy of the path prefix, and the
-//!   worker that takes it recomputes the root's union in its own scratch. So
-//!   even a single-root burst engages every worker, while a lone busy worker
-//!   copies nothing.
+//!   worker that takes it recomputes the root's union in its own scratch
+//!   unless the scratch still holds it. So even a single-root burst engages
+//!   every worker, while a lone busy worker copies nothing.
 //!
 //! Everything here is generic over [`GraphView`], so the same code serves the
 //! immutable [`TemporalGraph`](pce_graph::TemporalGraph) and the streaming
@@ -209,6 +209,7 @@ pub fn run<G: GraphView + ?Sized, S: CycleSink>(
             WorkerState {
                 buf: std::mem::take(&mut scratch.search).recycle(),
                 scratch,
+                union_root: None,
                 edge_buf: Vec::new(),
             }
         })),
@@ -302,6 +303,10 @@ struct Shared<'a, G: ?Sized, S> {
 struct WorkerState<'a> {
     buf: Buffers<'a>,
     scratch: &'a mut RootScratch,
+    /// The root whose union `scratch` holds, if it was computed in this run:
+    /// a split of that root resumes without a pass. Every run starts without
+    /// one, because the stream graph changes between runs.
+    union_root: Option<EdgeId>,
     /// Scratch for the close-time whole-cycle re-check.
     edge_buf: Vec<TemporalEdge>,
 }
@@ -415,10 +420,16 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Shared<'a, G, S> {
         }
     }
 
-    /// The mirrored union pass of `rooted` into `union`; `false` when the
-    /// root closes nothing.
-    fn union_pass(&self, rooted: &Rooted, union: &mut CycleUnionWorkspace) -> bool {
+    /// The mirrored union pass of `rooted` into `union`, whose root is then
+    /// `union_root`; `false` when the root closes nothing.
+    fn union_pass(
+        &self,
+        rooted: &Rooted,
+        union: &mut CycleUnionWorkspace,
+        union_root: &mut Option<EdgeId>,
+    ) -> bool {
         let (graph, predicate) = (self.graph, &self.plan.predicate);
+        *union_root = Some(rooted.root);
         match self.plan.kind {
             DeltaKind::Simple(_) => {
                 union.compute_simple_before(graph, rooted.root, rooted.window, predicate)
@@ -436,6 +447,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Shared<'a, G, S> {
         &self,
         root: EdgeId,
         scratch: &mut RootScratch,
+        union_root: &mut Option<EdgeId>,
         worker: usize,
     ) -> Option<Rooted> {
         let rooted = self.rooted(root);
@@ -458,11 +470,11 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Shared<'a, G, S> {
         if !self.admit_root(&e, worker) {
             return None;
         }
-        self.metrics.root_processed(worker);
-        let reachable = self.union_pass(&rooted, &mut scratch.union);
         self.metrics
-            .union_members(worker, scratch.union.union_size() as u64);
-        reachable.then_some(rooted)
+            .counted_union_pass(worker, &mut scratch.union, |u| {
+                self.union_pass(&rooted, u, union_root)
+            })
+            .then_some(rooted)
     }
 
     /// The out-edges along which a path reaching `v` at `arrival` may
@@ -492,6 +504,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Shared<'a, G, S> {
         let WorkerState {
             buf,
             scratch,
+            union_root,
             edge_buf,
         } = &mut *state;
         while let Some(i) = counter.next() {
@@ -499,7 +512,8 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Shared<'a, G, S> {
                 break;
             }
             let start = Instant::now();
-            if let Some(rooted) = self.prepare_root(base + i as EdgeId, scratch, worker) {
+            if let Some(rooted) = self.prepare_root(base + i as EdgeId, scratch, union_root, worker)
+            {
                 let e = rooted.edge;
                 // Seeding the arrival one below the window start admits
                 // exactly first hops with ts >= start.
@@ -603,8 +617,10 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Driver<'a> for Shared<'a, G, S> {
         self.sink.stopped()
     }
 
-    /// Recomputes the root's union in this worker's scratch. The pass is not
-    /// counted again: union members and roots stay the sequential search's.
+    /// Recomputes the root's union in this worker's scratch, unless the
+    /// scratch already holds it (most splits return to their splitter). The
+    /// pass is not counted again: union members and roots stay the
+    /// sequential search's.
     fn resume<'scope>(
         &'scope self,
         state: &mut WorkerState<'a>,
@@ -617,11 +633,14 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Driver<'a> for Shared<'a, G, S> {
         let WorkerState {
             buf,
             scratch,
+            union_root,
             edge_buf,
         } = state;
         let rooted = self.rooted(task.root);
-        let nonempty = self.union_pass(&rooted, &mut scratch.union);
-        debug_assert!(nonempty, "a split root has a non-empty union");
+        if *union_root != Some(task.root) {
+            let nonempty = self.union_pass(&rooted, &mut scratch.union, union_root);
+            debug_assert!(nonempty, "a split root has a non-empty union");
+        }
         buf.load(&task.path, &task.path_edges, task.frame);
         buf.on_path.insert(rooted.edge.src);
         let worker = ctx.worker_id();

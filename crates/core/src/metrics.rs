@@ -9,6 +9,7 @@
 
 use crate::engine::{Algorithm, Granularity};
 use crossbeam_utils::CachePadded;
+use pce_graph::reach::CycleUnionWorkspace;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -114,6 +115,24 @@ impl WorkMetrics {
         self.slot(worker)
             .roots_processed
             .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Runs one root's union `pass` on `union`, counting the root before the
+    /// pass and the union's size after it. Every driver counts its roots
+    /// this way, so every granularity reports the same root and union
+    /// totals. Returns what the pass returns: whether the root can close a
+    /// cycle.
+    #[inline]
+    pub(crate) fn counted_union_pass(
+        &self,
+        worker: usize,
+        union: &mut CycleUnionWorkspace,
+        pass: impl FnOnce(&mut CycleUnionWorkspace) -> bool,
+    ) -> bool {
+        self.root_processed(worker);
+        let reachable = pass(union);
+        self.union_members(worker, union.union_size() as u64);
+        reachable
     }
 
     /// Records the size of one root's cycle-union. The per-run total is a

@@ -439,11 +439,12 @@ pub fn fine_johnson_simple<S: CycleSink>(
                         }
                         let e0 = graph.edge(root);
                         let window = TimeWindow::from_start(e0.ts, opts.effective_delta());
-                        if !scratch.union.compute_simple(graph, root, window) {
+                        if !metrics.counted_union_pass(worker, &mut scratch.union, |u| {
+                            u.compute_simple(graph, root, window)
+                        }) {
                             metrics.add_busy(worker, prep.elapsed());
                             continue;
                         }
-                        metrics.root_processed(worker);
                         let union = Arc::new(UnionView::from_simple(&scratch.union));
                         active.fetch_add(1, Ordering::AcqRel);
                         let shared = Arc::new(SharedSearch::new_root(

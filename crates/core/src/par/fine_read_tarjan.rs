@@ -122,11 +122,15 @@ pub fn fine_read_tarjan_simple<S: CycleSink>(
                     }
                     let e0 = shared.graph.edge(root);
                     let window = TimeWindow::from_start(e0.ts, shared.opts.effective_delta());
-                    if !scratch.union.compute_simple(shared.graph, root, window) {
+                    if !shared
+                        .metrics
+                        .counted_union_pass(worker, &mut scratch.union, |u| {
+                            u.compute_simple(shared.graph, root, window)
+                        })
+                    {
                         shared.metrics.add_busy(worker, prep.elapsed());
                         continue;
                     }
-                    shared.metrics.root_processed(worker);
                     let union = Arc::new(UnionView::from_simple(&scratch.union));
                     let rt_ctx = RtContext {
                         graph: shared.graph,

@@ -10,8 +10,9 @@
 //! The worker that claims a root runs the rooted search in place on the
 //! split skeleton it shares with the streaming delta search, and splits
 //! branches off only when the pool reports an idle worker; the worker that
-//! takes a split recomputes the root's union in its own workspace. This
-//! module keeps only the extension step and the Read-Tarjan-style probe.
+//! takes a split recomputes the root's union in its own workspace, unless
+//! the workspace still holds it. This module keeps only the extension step
+//! and the Read-Tarjan-style probe.
 //!
 //! Two disciplines are provided, mirroring the two algorithm families the
 //! paper evaluates on temporal graphs:
@@ -61,6 +62,9 @@ struct WorkerState<'g> {
     buf: Buffers<'g>,
     /// The cycle union of the root being searched.
     scratch: RootScratch,
+    /// The root whose union `scratch` holds: a split of that root resumes
+    /// without a pass.
+    union_root: Option<EdgeId>,
     probe: Probe,
 }
 
@@ -94,6 +98,7 @@ impl<'g, S: CycleSink> Shared<'g, S> {
         let WorkerState {
             buf,
             scratch,
+            union_root,
             probe,
         } = &mut *state;
         while let Some(root) = counter.next() {
@@ -105,12 +110,13 @@ impl<'g, S: CycleSink> Shared<'g, S> {
             if e0.src == e0.dst {
                 continue;
             }
-            // Counted before the union pass, as the sequential search does.
-            self.metrics.root_processed(worker);
             let start = Instant::now();
-            if scratch
-                .union
-                .compute_temporal(graph, root, self.opts.window_delta)
+            *union_root = Some(root);
+            if self
+                .metrics
+                .counted_union_pass(worker, &mut scratch.union, |u| {
+                    u.compute_temporal(graph, root, self.opts.window_delta)
+                })
             {
                 let rooted = self.rooted(root, &scratch.union);
                 let window = TimeWindow::new(e0.ts.saturating_add(1), rooted.t_end);
@@ -230,9 +236,10 @@ impl<'g, S: CycleSink> Driver<'g> for Shared<'g, S> {
         self.sink.stopped()
     }
 
-    /// Recomputes the root's union in this worker's workspace: one union
-    /// pass per split, where the searcher itself would pay a hash lookup per
-    /// edge on a shared snapshot.
+    /// Recomputes the root's union in this worker's workspace unless it
+    /// already holds it: at most one union pass per split, where the
+    /// searcher itself would pay a hash lookup per edge on a shared
+    /// snapshot.
     fn resume<'scope>(
         &'scope self,
         state: &mut WorkerState<'g>,
@@ -245,13 +252,17 @@ impl<'g, S: CycleSink> Driver<'g> for Shared<'g, S> {
         let WorkerState {
             buf,
             scratch,
+            union_root,
             probe,
         } = state;
-        let nonempty =
-            scratch
-                .union
-                .compute_temporal(self.graph, task.root, self.opts.window_delta);
-        debug_assert!(nonempty, "a split root has a non-empty union");
+        if *union_root != Some(task.root) {
+            *union_root = Some(task.root);
+            let nonempty =
+                scratch
+                    .union
+                    .compute_temporal(self.graph, task.root, self.opts.window_delta);
+            debug_assert!(nonempty, "a split root has a non-empty union");
+        }
         buf.load(&task.path, &task.path_edges, task.frame);
         self.search(
             buf,
@@ -284,6 +295,7 @@ fn run_fine_temporal<S: CycleSink>(
         workers: Workers::new((0..threads).map(|_| WorkerState {
             buf: Buffers::default(),
             scratch: RootScratch::new(graph.num_vertices()),
+            union_root: None,
             probe: Probe::default(),
         })),
     };

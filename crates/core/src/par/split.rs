@@ -14,9 +14,9 @@
 //! for. Only then does it split: the first half of the shallowest frame's
 //! unscanned edges (the largest unexplored subtrees) goes to one new task
 //! with a copy of the path prefix, and the worker that runs it re-derives the
-//! root's per-root state in its own scratch ([`Driver::resume`]). A lone busy
-//! worker never copies; a worker that falls idle is handed work at the busy
-//! worker's next descent.
+//! root's per-root state in its own scratch ([`Driver::resume`]) unless that
+//! scratch still holds it. A lone busy worker never copies; a worker that
+//! falls idle is handed work at the busy worker's next descent.
 
 use crate::metrics::WorkMetrics;
 use crate::util::FxHashSet;
@@ -149,7 +149,8 @@ pub(crate) trait Driver<'g>: Sync {
     fn stopped(&self) -> bool;
 
     /// Runs a split-off part of a rooted search on this worker's `state`:
-    /// re-derives the root's per-root state, loads `task` and calls
+    /// re-derives the root's per-root state unless `state` holds it already
+    /// (a split often returns to its splitter), loads `task` and calls
     /// [`search`] with splitting on.
     fn resume<'scope>(
         &'scope self,

@@ -141,12 +141,13 @@ pub(crate) fn johnson_root<S: CycleSink>(
     if handle_self_loop_root(graph, root, opts, sink) {
         return;
     }
-    metrics.root_processed(worker);
     let e0 = graph.edge(root);
     let window = TimeWindow::from_start(e0.ts, opts.effective_delta());
     // Cycle-union preprocessing: skip roots that cannot close any cycle and
     // restrict the search to vertices on at least one cycle through the root.
-    if !scratch.union.compute_simple(graph, root, window) {
+    if !metrics.counted_union_pass(worker, &mut scratch.union, |u| {
+        u.compute_simple(graph, root, window)
+    }) {
         return;
     }
     let mut on_path = fx_set();

@@ -335,10 +335,11 @@ pub(crate) fn read_tarjan_root<S: CycleSink>(
     if handle_self_loop_root(graph, root, opts, sink) {
         return;
     }
-    metrics.root_processed(worker);
     let e0 = graph.edge(root);
     let window = TimeWindow::from_start(e0.ts, opts.effective_delta());
-    if !scratch.union.compute_simple(graph, root, window) {
+    if !metrics.counted_union_pass(worker, &mut scratch.union, |u| {
+        u.compute_simple(graph, root, window)
+    }) {
         return;
     }
     let ctx = RtContext {

@@ -104,11 +104,9 @@ pub(crate) fn temporal_root<S: CycleSink>(
         // reported, matching the simple-cycle default.
         return;
     }
-    metrics.root_processed(worker);
-    if !scratch
-        .union
-        .compute_temporal(graph, root, opts.window_delta)
-    {
+    if !metrics.counted_union_pass(worker, &mut scratch.union, |u| {
+        u.compute_temporal(graph, root, opts.window_delta)
+    }) {
         return;
     }
     let mut on_path = fx_set();

@@ -9,7 +9,7 @@
 //! written against. The temporal and delta searches read the workspace
 //! itself, closing times included: the in-place searches need no snapshot,
 //! because a worker that takes a split recomputes the union in its own
-//! workspace.
+//! workspace (or finds it there already).
 
 use crate::util::{fx_set, FxHashSet};
 use pce_graph::reach::CycleUnionWorkspace;

@@ -21,11 +21,15 @@
 //! paper incorporates into its parallel algorithms.
 //!
 //! The computation reuses buffers across roots ([`CycleUnionWorkspace`]) and
-//! uses epoch-stamping instead of clearing, so the per-root cost is
-//! `O(vertices touched + edges touched)`.
+//! uses epoch-stamping instead of clearing, so no pass pays for the size of
+//! the graph. A simple pass costs the window-sliced out-edges of the
+//! forward-reachable set, plus — only when the head reaches the tail — the
+//! in-edges of the union itself; a temporal pass scans the window's edges
+//! twice. The union's members are gathered during the passes, never by a
+//! scan over all vertices.
 
 use crate::predicate::{CyclePredicate, VertexFilter};
-use crate::temporal::TemporalGraph;
+use crate::temporal::{AdjEntry, TemporalGraph};
 use crate::types::{EdgeId, Timestamp, VertexId};
 use crate::view::GraphView;
 use crate::window::TimeWindow;
@@ -140,7 +144,9 @@ impl CycleUnionWorkspace {
     ///
     /// Returns `true` if the union is non-empty in the sense that the head of
     /// the root edge can reach its tail (i.e. at least one cycle through the
-    /// root edge may exist).
+    /// root edge may exist); when the head cannot reach the tail the union is
+    /// left empty. Costs the forward-reachable set's out-edges, plus the
+    /// union's in-edges when the tail is reached.
     ///
     /// Generic over [`GraphView`], so it runs on both the static
     /// [`TemporalGraph`] and the streaming
@@ -153,36 +159,10 @@ impl CycleUnionWorkspace {
     ) -> bool {
         self.bump_epoch();
         let e = graph.edge(root);
-        let (v0, v1) = (e.src, e.dst);
-
-        // Forward BFS from v1 over admissible out-edges, backward BFS from v0
-        // over admissible in-edges. The windowed accessors enforce the
-        // timestamp bounds; "after the root in (ts, id) order" is the id test.
-        epoch_bfs(
-            graph,
-            window,
-            v1,
-            self.epoch,
-            &mut self.fwd_epoch,
-            &mut self.queue,
-            Direction::Forward,
-            |entry| entry.edge > root,
-        );
-        epoch_bfs(
-            graph,
-            window,
-            v0,
-            self.epoch,
-            &mut self.bwd_epoch,
-            &mut self.queue,
-            Direction::Backward,
-            |entry| entry.edge > root,
-        );
-
-        self.collect_union(graph.num_vertices());
-        // A cycle through the root edge requires v1 to reach v0 (v1 == v0
-        // would be a self-loop root, handled by the caller).
-        self.fwd_epoch[v0 as usize] == self.epoch && self.bwd_epoch[v1 as usize] == self.epoch
+        // "After the root in (ts, id) order" is the id test; the windowed
+        // accessors enforce the timestamp bounds. (A self-loop root is
+        // handled by the caller.)
+        self.simple_union(graph, window, e.dst, e.src, |entry| entry.edge > root)
     }
 
     /// Computes the cycle-union, earliest arrival times and latest departure
@@ -212,15 +192,20 @@ impl CycleUnionWorkspace {
         // Forward pass: earliest arrival with strictly increasing timestamps.
         // Scanning edge ids in ascending order scans timestamps in ascending
         // order, so each edge sees the final earliest-arrival value of its
-        // source with respect to strictly smaller timestamps.
+        // source with respect to strictly smaller timestamps. Each vertex
+        // becomes a union candidate when first stamped.
         self.earliest[v1 as usize] = t0;
         self.fwd_epoch[v1 as usize] = self.epoch;
+        self.union_members.push(v1);
         for id in lo..hi {
             let e = graph.edge(id);
             let su = e.src as usize;
             if self.fwd_epoch[su] == self.epoch && self.earliest[su] < e.ts {
                 let sd = e.dst as usize;
                 if self.fwd_epoch[sd] != self.epoch || self.earliest[sd] > e.ts {
+                    if self.fwd_epoch[sd] != self.epoch {
+                        self.union_members.push(e.dst);
+                    }
                     self.earliest[sd] = e.ts;
                     self.fwd_epoch[sd] = self.epoch;
                 }
@@ -242,7 +227,7 @@ impl CycleUnionWorkspace {
             }
         }
 
-        self.collect_union(graph.num_vertices());
+        self.retain_backward_reachable_members();
         self.fwd_epoch[v0 as usize] == self.epoch && self.bwd_epoch[v1 as usize] == self.epoch
     }
 
@@ -256,16 +241,9 @@ impl CycleUnionWorkspace {
     /// — edges below it have expired and must not be matched). The union is
     /// the set of vertices on at least one path `w → … → u` over admissible
     /// edges; returns `true` if any such path (and therefore possibly a
-    /// cycle closed by the root) exists.
-    ///
-    /// Unlike [`Self::compute_simple`], whose collection pass scans all
-    /// vertices, [`Self::union_members`] is gathered here *during* the
-    /// traversal: the forward BFS queue is exactly the forward-reachable set,
-    /// and filtering it by the backward stamp costs `O(vertices touched)` —
-    /// so the per-root cost stays `O(vertices + edges touched)` rather than
-    /// `O(num_vertices)`, which matters on streams with many small-union
-    /// roots per batch. The fine-grained delta drivers consume the members
-    /// list to snapshot a [`UnionView`](`Self::union_members`) per root.
+    /// cycle closed by the root) exists. Like [`Self::compute_simple`], it
+    /// leaves the union empty when there is none, and costs only the
+    /// forward-reachable set's out-edges plus the union's in-edges.
     ///
     /// `predicate` filters admissible edges and vertices by attribute: an
     /// edge rejected by the predicate's per-edge part — or a vertex rejected
@@ -273,7 +251,9 @@ impl CycleUnionWorkspace {
     /// reflects the pushdown (the predicate's aggregate and positional parts
     /// cannot prune a reachability pass and are ignored here). Pass
     /// [`CyclePredicate::pass_all`] for unfiltered enumeration (the pass-all
-    /// case is detected once and adds no per-edge work).
+    /// case is detected once and adds no per-edge work). Callers admit only
+    /// roots whose endpoints the filter accepts; a filtered-out `u` leaves
+    /// the union empty.
     pub fn compute_simple_before<G: GraphView + ?Sized>(
         &mut self,
         graph: &G,
@@ -283,52 +263,19 @@ impl CycleUnionWorkspace {
     ) -> bool {
         self.bump_epoch();
         let e = graph.edge(root);
-        let (u, w) = (e.src, e.dst);
         let edge_pred = predicate.edge_predicate();
         let pass_all = edge_pred.is_pass_all();
         let vf = predicate.vertex_filter();
         let vf_any = *vf == VertexFilter::Any;
-
-        // The windowed accessors enforce the timestamp bounds, so the only
-        // extra admissibility conditions are "before the root" on ids and the
-        // attribute predicate (attributes live on the edge record, not the
-        // adjacency entry, hence the `graph.edge` lookup on the slow path).
-        epoch_bfs(
-            graph,
-            window,
-            w,
-            self.epoch,
-            &mut self.fwd_epoch,
-            &mut self.queue,
-            Direction::Forward,
-            |entry| {
-                entry.edge < root
-                    && (vf_any || vf.accepts(entry.neighbor))
-                    && (pass_all || edge_pred.accepts(&graph.edge(entry.edge)))
-            },
-        );
-        // The queue now holds exactly the forward-reachable vertices; keep
-        // them as union candidates before the backward BFS reuses the buffer.
-        self.union_members.clear();
-        self.union_members.extend_from_slice(&self.queue);
-        epoch_bfs(
-            graph,
-            window,
-            u,
-            self.epoch,
-            &mut self.bwd_epoch,
-            &mut self.queue,
-            Direction::Backward,
-            |entry| {
-                entry.edge < root
-                    && (vf_any || vf.accepts(entry.neighbor))
-                    && (pass_all || edge_pred.accepts(&graph.edge(entry.edge)))
-            },
-        );
-        self.retain_backward_reachable_members();
-
-        // A cycle closed by the root edge requires a path w → … → u.
-        self.fwd_epoch[u as usize] == self.epoch && self.bwd_epoch[w as usize] == self.epoch
+        // Beyond the windowed accessors' timestamp bounds, admissibility is
+        // "before the root" on ids and the attribute predicate (attributes
+        // live on the edge record, not the adjacency entry, hence the
+        // `graph.edge` lookup on the slow path).
+        self.simple_union(graph, window, e.dst, e.src, |entry| {
+            entry.edge < root
+                && (vf_any || vf.accepts(entry.neighbor))
+                && (pass_all || edge_pred.accepts(&graph.edge(entry.edge)))
+        })
     }
 
     /// Mirror of [`Self::compute_temporal`] for **incremental (delta)
@@ -344,10 +291,12 @@ impl CycleUnionWorkspace {
     /// departure time** towards `u` — [`Self::can_close_after`] then works
     /// unchanged for the mirrored search. Returns `true` if `w` can reach `u`.
     ///
-    /// Like [`Self::compute_simple_before`], [`Self::union_members`] is
-    /// gathered during the traversal (each vertex is recorded when its
-    /// forward stamp is first set, then filtered by the backward stamp), so
-    /// the per-root cost stays proportional to what the passes touch.
+    /// Like [`Self::compute_temporal`], [`Self::union_members`] is gathered
+    /// during the traversal (each vertex is recorded when its forward stamp
+    /// is first set, then filtered by the backward stamp). Neither temporal
+    /// pass stops early when the tail is unreachable: a vertex can carry both
+    /// stamps with arrival and departure times that do not join into a path,
+    /// and such vertices are part of the union these passes report.
     ///
     /// `predicate` filters admissible edges and vertices by attribute,
     /// exactly as in [`Self::compute_simple_before`].
@@ -423,7 +372,49 @@ impl CycleUnionWorkspace {
         self.fwd_epoch[u as usize] == self.epoch && self.bwd_epoch[w as usize] == self.epoch
     }
 
-    /// Filters the forward-reachable candidates recorded by a `_before` pass
+    /// The two BFS of a simple pass from the root's `head` to its `tail`.
+    /// The backward BFS runs only when the forward one reached `tail`, and
+    /// only inside the forward-reachable set: every vertex on a path from a
+    /// union member to `tail` is forward-reachable through that member, so
+    /// its queue is exactly the union. Returns whether that BFS got back to
+    /// `head`, i.e. whether `head` reaches `tail`.
+    fn simple_union<G: GraphView + ?Sized>(
+        &mut self,
+        graph: &G,
+        window: TimeWindow,
+        head: VertexId,
+        tail: VertexId,
+        admissible: impl Fn(&AdjEntry) -> bool,
+    ) -> bool {
+        let epoch = self.epoch;
+        epoch_bfs(
+            graph,
+            window,
+            head,
+            epoch,
+            &mut self.fwd_epoch,
+            &mut self.queue,
+            Direction::Forward,
+            &admissible,
+        );
+        if self.fwd_epoch[tail as usize] != epoch {
+            return false;
+        }
+        let (fwd, bwd) = (&self.fwd_epoch, &mut self.bwd_epoch);
+        epoch_bfs(
+            graph,
+            window,
+            tail,
+            epoch,
+            bwd,
+            &mut self.union_members,
+            Direction::Backward,
+            |entry| fwd[entry.neighbor as usize] == epoch && admissible(entry),
+        );
+        self.bwd_epoch[head as usize] == epoch
+    }
+
+    /// Filters the forward-reachable candidates recorded by a temporal pass
     /// down to the union (candidates that also carry the current backward
     /// stamp). `O(candidates)`.
     fn retain_backward_reachable_members(&mut self) {
@@ -444,15 +435,6 @@ impl CycleUnionWorkspace {
         self.bwd_epoch.resize(n, 0);
         self.earliest.resize(n, Timestamp::MAX);
         self.latest_dep.resize(n, Timestamp::MIN);
-    }
-
-    fn collect_union(&mut self, n: usize) {
-        self.union_members.clear();
-        for v in 0..n {
-            if self.fwd_epoch[v] == self.epoch && self.bwd_epoch[v] == self.epoch {
-                self.union_members.push(v as VertexId);
-            }
-        }
     }
 }
 
@@ -481,7 +463,7 @@ fn epoch_bfs<G: GraphView + ?Sized>(
     marks: &mut [u32],
     queue: &mut Vec<VertexId>,
     direction: Direction,
-    admissible: impl Fn(&crate::temporal::AdjEntry) -> bool,
+    admissible: impl Fn(&AdjEntry) -> bool,
 ) {
     queue.clear();
     marks[seed as usize] = epoch;
@@ -528,6 +510,7 @@ pub fn reachable_from(graph: &TemporalGraph, start: VertexId) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::TemporalEdge;
     use crate::GraphBuilder;
 
     #[test]
@@ -877,6 +860,223 @@ mod tests {
         assert!(ws.compute_temporal_before(&g, root, TimeWindow::new(0, 4), &deny2));
         assert!(!ws.in_union(2) && ws.in_union(3));
         assert!(!ws.compute_temporal_before(&g, root, TimeWindow::new(0, 4), &narrow));
+    }
+
+    /// The oracle's view of one union pass: the two reachability sets,
+    /// each computed to a fixpoint over a plain edge list, then intersected
+    /// by a full scan.
+    struct Oracle {
+        /// Earliest arrival from the root's head (simple passes: any
+        /// timestamp), `None` if unreached.
+        fwd: Vec<Option<Timestamp>>,
+        /// Latest departure towards the root's tail (simple passes: any
+        /// timestamp), `None` if the tail is unreachable.
+        bwd: Vec<Option<Timestamp>>,
+    }
+
+    impl Oracle {
+        /// Relaxes both directions to a fixpoint. A forward triple
+        /// `(src, dst, ts)` extends an arrival at `src` to `dst`, and a
+        /// backward one a departure from `dst` to `src`; when `timed`, only
+        /// an arrival strictly before `ts` and a departure strictly after it.
+        fn new(
+            n: usize,
+            timed: bool,
+            (head, head_t): (VertexId, Timestamp),
+            (tail, tail_t): (VertexId, Timestamp),
+            fwd_edges: &[(VertexId, VertexId, Timestamp)],
+            bwd_edges: &[(VertexId, VertexId, Timestamp)],
+        ) -> Self {
+            let (mut fwd, mut bwd) = (vec![None; n], vec![None; n]);
+            fwd[head as usize] = Some(head_t);
+            bwd[tail as usize] = Some(tail_t);
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for &(src, dst, ts) in fwd_edges {
+                    if fwd[src as usize].is_some_and(|a: Timestamp| !timed || a < ts)
+                        && fwd[dst as usize].is_none_or(|b| timed && b > ts)
+                    {
+                        fwd[dst as usize] = Some(ts);
+                        changed = true;
+                    }
+                }
+                for &(src, dst, ts) in bwd_edges {
+                    if bwd[dst as usize].is_some_and(|d: Timestamp| !timed || d > ts)
+                        && bwd[src as usize].is_none_or(|c| timed && c < ts)
+                    {
+                        bwd[src as usize] = Some(ts);
+                        changed = true;
+                    }
+                }
+            }
+            Self { fwd, bwd }
+        }
+
+        /// Every vertex carrying both marks, as `in_union` reports them.
+        fn both(&self) -> Vec<bool> {
+            (0..self.fwd.len())
+                .map(|v| self.fwd[v].is_some() && self.bwd[v].is_some())
+                .collect()
+        }
+
+        /// Checks the workspace after a pass over `head → … → tail` that
+        /// returned `got`. With `early_exit` (the simple passes) the union is
+        /// empty unless the head reaches the tail; the temporal passes report
+        /// every vertex with both marks, and their latest departures.
+        fn check(
+            &self,
+            ws: &CycleUnionWorkspace,
+            got: bool,
+            (head, tail): (VertexId, VertexId),
+            early_exit: bool,
+            what: &str,
+        ) {
+            let reaches = self.fwd[tail as usize].is_some();
+            assert_eq!(
+                got,
+                reaches && self.bwd[head as usize].is_some(),
+                "{what}: return"
+            );
+            let mut union = self.both();
+            if early_exit && !reaches {
+                union.fill(false);
+            }
+            for (v, &member) in union.iter().enumerate() {
+                assert_eq!(ws.in_union(v as VertexId), member, "{what}: in_union({v})");
+            }
+            let mut members = ws.union_members().to_vec();
+            members.sort_unstable();
+            let want: Vec<VertexId> = (0..union.len() as VertexId)
+                .filter(|&v| union[v as usize])
+                .collect();
+            assert_eq!(members, want, "{what}: union_members");
+            if !early_exit {
+                for &v in &members {
+                    let want = self.bwd[v as usize].expect("a member reaches the tail");
+                    assert_eq!(
+                        ws.latest_departure(v),
+                        want,
+                        "{what}: latest_departure({v})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `(src, dst, ts)` of the `edges` that `keep` admits.
+    fn triples(
+        edges: &[(EdgeId, TemporalEdge)],
+        keep: impl Fn(EdgeId, &TemporalEdge) -> bool,
+    ) -> Vec<(VertexId, VertexId, Timestamp)> {
+        edges
+            .iter()
+            .filter(|(id, e)| keep(*id, e))
+            .map(|(_, e)| (e.src, e.dst, e.ts))
+            .collect()
+    }
+
+    #[test]
+    fn union_passes_match_a_from_scratch_oracle() {
+        use crate::generators::{power_law_temporal, uniform_temporal, RandomTemporalConfig};
+        use crate::predicate::EdgePredicate;
+        let mut unreachable_roots = [0usize; 4];
+        for seed in [3u64, 11] {
+            let cfg = RandomTemporalConfig {
+                num_vertices: 40,
+                num_edges: 240,
+                time_span: 600,
+                seed,
+            };
+            for plain in [uniform_temporal(cfg), power_law_temporal(cfg)] {
+                // Amounts and labels give the edge predicate something to
+                // filter.
+                let mut b = GraphBuilder::with_vertices(plain.num_vertices());
+                for (id, e) in plain.edge_ids() {
+                    let (amount, label) = (u64::from(id * 37 % 100), (id % 3) as u16);
+                    b.push_attr_edge(TemporalEdge::with_attrs(e.src, e.dst, e.ts, amount, label));
+                }
+                let g = b.build();
+                let n = g.num_vertices();
+                let edges: Vec<(EdgeId, TemporalEdge)> = g.edge_ids().collect();
+                let predicates = [
+                    CyclePredicate::pass_all(),
+                    CyclePredicate::from(EdgePredicate::pass_all().min_amount(30))
+                        .vertices(VertexFilter::deny(vec![0, 5, 7])),
+                ];
+                // One workspace for every pass over this graph, so epochs
+                // advance between roots, windows and passes.
+                let mut ws = CycleUnionWorkspace::new(n);
+                for (delta, floor) in [(40, 0), (150, 0), (600, 0), (40, 200), (600, 200)] {
+                    for &(root, e0) in &edges {
+                        let (t0, v0, v1) = (e0.ts, e0.src, e0.dst);
+                        let at = |p: &str| format!("{p} root {root} δ {delta} floor {floor}");
+
+                        // Min-rooted: edges after the root, up to t0 + δ.
+                        let window = TimeWindow::from_start(t0, delta);
+                        let after = triples(&edges, |id, e| id > root && window.contains(e.ts));
+                        let oracle = Oracle::new(n, false, (v1, t0), (v0, t0), &after, &after);
+                        let got = ws.compute_simple(&g, root, window);
+                        oracle.check(&ws, got, (v1, v0), true, &at("simple"));
+                        unreachable_roots[0] += usize::from(oracle.fwd[v0 as usize].is_none());
+
+                        let late = Timestamp::MAX;
+                        let oracle = Oracle::new(n, true, (v1, t0), (v0, late), &after, &after);
+                        let got = ws.compute_temporal(&g, root, delta);
+                        oracle.check(&ws, got, (v1, v0), false, &at("temporal"));
+                        unreachable_roots[1] += usize::from(oracle.fwd[v0 as usize].is_none());
+
+                        // Max-rooted, over the window the delta search
+                        // passes: [max(t0 - δ, floor) : t0], below the root.
+                        let (u, w) = (v0, v1);
+                        let window = TimeWindow::new(t0.saturating_sub(delta).max(floor), t0);
+                        for (p, predicate) in predicates.iter().enumerate() {
+                            let vf = predicate.vertex_filter();
+                            if !vf.accepts(u) || !vf.accepts(w) {
+                                // The delta search admits no such root.
+                                continue;
+                            }
+                            let at = |pass: &str| at(&format!("{pass} predicate {p}"));
+                            // A vertex enters a pass only if the filter
+                            // accepts it: the destination going forward, the
+                            // source going back.
+                            // Temporal paths stay strictly below t0, simple
+                            // ones below the root in (ts, id) order.
+                            let before = |timed, id: EdgeId, e: &TemporalEdge| {
+                                (if timed { e.ts < t0 } else { id < root })
+                                    && window.contains(e.ts)
+                                    && predicate.edge_predicate().accepts(e)
+                            };
+                            let fwd = |timed| {
+                                triples(&edges, |id, e| before(timed, id, e) && vf.accepts(e.dst))
+                            };
+                            let bwd = |timed| {
+                                triples(&edges, |id, e| before(timed, id, e) && vf.accepts(e.src))
+                            };
+
+                            let oracle =
+                                Oracle::new(n, false, (w, t0), (u, t0), &fwd(false), &bwd(false));
+                            let got = ws.compute_simple_before(&g, root, window, predicate);
+                            oracle.check(&ws, got, (w, u), true, &at("simple_before"));
+                            unreachable_roots[2] += usize::from(oracle.fwd[u as usize].is_none());
+
+                            let first = window.start.saturating_sub(1);
+                            let oracle =
+                                Oracle::new(n, true, (w, first), (u, t0), &fwd(true), &bwd(true));
+                            let got = ws.compute_temporal_before(&g, root, window, predicate);
+                            oracle.check(&ws, got, (w, u), false, &at("temporal_before"));
+                            unreachable_roots[3] += usize::from(oracle.fwd[u as usize].is_none());
+                        }
+                    }
+                }
+            }
+        }
+        // Every pass met roots whose head cannot reach the tail, not only
+        // reachable ones.
+        assert!(
+            unreachable_roots.iter().all(|&c| c > 0),
+            "{unreachable_roots:?}"
+        );
     }
 
     #[test]

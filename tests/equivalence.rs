@@ -218,3 +218,57 @@ fn prop_bundled_count_matches_enumeration() {
         assert_eq!(bundled, enumerated.len() as u64, "seed {seed}");
     }
 }
+
+/// Every granularity at every thread count counts the same roots and the
+/// same cycle-union members: a root is counted before its union pass, and
+/// its union's size right after it, whichever driver runs it.
+#[test]
+fn root_and_union_counters_agree_across_granularities() {
+    for seed in [41u64, 42] {
+        let graph = generators::power_law_temporal(generators::RandomTemporalConfig {
+            num_vertices: 50,
+            num_edges: 400,
+            time_span: 300,
+            seed,
+        });
+        let queries = [
+            (
+                "Johnson",
+                simple_query(Algorithm::Johnson, Granularity::Sequential, 30),
+            ),
+            (
+                "Read-Tarjan",
+                simple_query(Algorithm::ReadTarjan, Granularity::Sequential, 30),
+            ),
+            ("temporal", Query::temporal().window(60)),
+        ];
+        for (name, query) in queries {
+            let counters = |gran: Granularity, threads: usize| {
+                let query = query.clone().granularity(gran).collect(CollectMode::Count);
+                let stats = Engine::with_threads(threads)
+                    .run(&query, &graph)
+                    .unwrap()
+                    .stats;
+                (stats.work.total_roots(), stats.work.total_union_members())
+            };
+            let reference = counters(Granularity::Sequential, 1);
+            assert!(
+                reference.1 > 0,
+                "seed {seed} {name}: no union members counted"
+            );
+            for gran in [
+                Granularity::Sequential,
+                Granularity::CoarseGrained,
+                Granularity::FineGrained,
+            ] {
+                for threads in [1, 2, 4] {
+                    assert_eq!(
+                        counters(gran, threads),
+                        reference,
+                        "seed {seed} {name} {gran:?} x{threads}: (roots, union members)"
+                    );
+                }
+            }
+        }
+    }
+}
