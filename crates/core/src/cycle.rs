@@ -19,17 +19,18 @@
 //! `ControlFlow::Break(())` makes every worker wind down promptly.
 //!
 //! The standard implementations are [`CountingSink`] (an atomic counter, no
-//! allocation per cycle), [`CollectingSink`] (a mutex-protected vector, used
+//! allocation per cycle), [`CollectingSink`] (per-thread flat buffers, used
 //! by tests, examples and anything that needs the actual cycles),
 //! [`FirstKSink`] (stops the run after `k` cycles) and [`ChannelSink`] (streams cycles to a
 //! consumer, stopping when the consumer hangs up).
 
 use crate::util::fx_set;
+use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use pce_graph::{EdgeId, TemporalGraph, Timestamp, VertexId};
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::SyncSender;
 
 /// A simple (or temporal) cycle, stored as the vertex sequence in traversal
@@ -183,10 +184,56 @@ impl CycleSink for CountingSink {
     }
 }
 
-/// A sink that stores every cycle (mutex-protected vector).
-#[derive(Debug, Default)]
+/// A sink that stores every cycle.
+///
+/// Each thread appends to a shard of its own: a flat vertex and edge buffer
+/// behind a lock that other threads rarely take. So concurrent workers
+/// neither queue on one lock nor allocate per cycle; on a hub burst, one
+/// shared lock cost the fine delta search more than the search itself.
+#[derive(Debug)]
 pub struct CollectingSink {
-    cycles: Mutex<Vec<Cycle>>,
+    shards: [CachePadded<Mutex<Shard>>; SHARDS],
+}
+
+/// Shards of a [`CollectingSink`]. Threads take slots in turn on their first
+/// push, so up to this many threads that start pushing together get distinct
+/// shards; threads that share one only contend for its lock.
+const SHARDS: usize = 16;
+
+/// The shard the calling thread pushes to.
+fn shard_slot() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local!(static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS);
+    SLOT.with(|slot| *slot)
+}
+
+/// One shard's cycles, back to back, and the end of each in the buffers.
+#[derive(Debug, Default)]
+struct Shard {
+    vertices: Vec<VertexId>,
+    edges: Vec<EdgeId>,
+    ends: Vec<usize>,
+}
+
+impl Shard {
+    /// The shard's cycles in push order.
+    fn cycles(&self) -> impl Iterator<Item = Cycle> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| {
+            Cycle::new(
+                self.vertices[start..end].to_vec(),
+                self.edges[start..end].to_vec(),
+            )
+        })
+    }
+}
+
+impl Default for CollectingSink {
+    fn default() -> Self {
+        Self {
+            shards: std::array::from_fn(|_| CachePadded::default()),
+        }
+    }
 }
 
 impl CollectingSink {
@@ -195,17 +242,24 @@ impl CollectingSink {
         Self::default()
     }
 
-    /// Consumes the sink and returns the collected cycles (in nondeterministic
-    /// order when produced by a parallel enumerator).
+    /// Consumes the sink and returns the collected cycles: each thread's in
+    /// the order it pushed them, threads in nondeterministic order.
     pub fn into_cycles(self) -> Vec<Cycle> {
-        self.cycles.into_inner()
+        let mut cycles = Vec::with_capacity(self.count() as usize);
+        for shard in self.shards {
+            cycles.extend(shard.into_inner().into_inner().cycles());
+        }
+        cycles
     }
 
     /// Returns the collected cycles in canonical form, sorted, which gives a
     /// deterministic value suitable for equality comparison across algorithms
     /// and thread counts.
     pub fn canonical_cycles(&self) -> Vec<Cycle> {
-        let mut cycles: Vec<Cycle> = self.cycles.lock().iter().map(Cycle::canonicalize).collect();
+        let mut cycles = Vec::new();
+        for shard in &self.shards {
+            cycles.extend(shard.lock().cycles().map(|c| c.canonicalize()));
+        }
         cycles.sort_by(|a, b| a.edges.cmp(&b.edges));
         cycles
     }
@@ -213,13 +267,18 @@ impl CollectingSink {
 
 impl CycleSink for CollectingSink {
     fn push(&self, vertices: &[VertexId], edges: &[EdgeId]) -> ControlFlow<()> {
-        let cycle = Cycle::new(vertices.to_vec(), edges.to_vec());
-        self.cycles.lock().push(cycle);
+        assert_eq!(vertices.len(), edges.len(), "cycle arity mismatch");
+        assert!(!vertices.is_empty(), "empty cycle");
+        let mut shard = self.shards[shard_slot()].lock();
+        shard.vertices.extend_from_slice(vertices);
+        shard.edges.extend_from_slice(edges);
+        let end = shard.vertices.len();
+        shard.ends.push(end);
         ControlFlow::Continue(())
     }
 
     fn count(&self) -> u64 {
-        self.cycles.lock().len() as u64
+        self.shards.iter().map(|s| s.lock().ends.len() as u64).sum()
     }
 }
 
@@ -409,6 +468,37 @@ mod tests {
         assert_eq!(canon.len(), 2);
         assert!(canon[0].edges[0] <= canon[1].edges[0]);
         assert_eq!(canon[1].edges, vec![3, 5, 7]);
+    }
+
+    #[test]
+    fn collecting_sink_keeps_every_threads_cycles_in_push_order() {
+        let sink = CollectingSink::new();
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let sink = &sink;
+                s.spawn(move || {
+                    for i in 0..100u32 {
+                        let id = t * 1_000 + i;
+                        assert!(sink.push(&[t, id], &[id, id + 1]).is_continue());
+                    }
+                });
+            }
+        });
+        assert_eq!(sink.count(), 400);
+        let cycles = sink.into_cycles();
+        assert_eq!(cycles.len(), 400);
+        for c in &cycles {
+            assert_eq!(c.edges, vec![c.vertices[1], c.vertices[1] + 1]);
+        }
+        for t in 0..4u32 {
+            let ids: Vec<u32> = cycles
+                .iter()
+                .filter(|c| c.vertices[0] == t)
+                .map(|c| c.edges[0])
+                .collect();
+            let pushed: Vec<u32> = (0..100).map(|i| t * 1_000 + i).collect();
+            assert_eq!(ids, pushed);
+        }
     }
 
     #[test]
