@@ -216,15 +216,12 @@ struct Shard {
 }
 
 impl Shard {
-    /// The shard's cycles in push order.
-    fn cycles(&self) -> impl Iterator<Item = Cycle> + '_ {
+    /// The vertex and edge slices of the shard's cycles, in push order.
+    fn cycles(&self) -> impl Iterator<Item = (&[VertexId], &[EdgeId])> + '_ {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts.zip(&self.ends).map(|(start, &end)| {
-            Cycle::new(
-                self.vertices[start..end].to_vec(),
-                self.edges[start..end].to_vec(),
-            )
-        })
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| (&self.vertices[start..end], &self.edges[start..end]))
     }
 }
 
@@ -245,11 +242,19 @@ impl CollectingSink {
     /// Consumes the sink and returns the collected cycles: each thread's in
     /// the order it pushed them, threads in nondeterministic order.
     pub fn into_cycles(self) -> Vec<Cycle> {
-        let mut cycles = Vec::with_capacity(self.count() as usize);
+        self.into_mapped(|vertices, edges| Cycle::new(vertices.to_vec(), edges.to_vec()))
+    }
+
+    /// Consumes the sink and maps each collected cycle's vertex and edge
+    /// slices through `f`, in [`CollectingSink::into_cycles`] order, without
+    /// building a [`Cycle`] first.
+    pub fn into_mapped<T>(self, mut f: impl FnMut(&[VertexId], &[EdgeId]) -> T) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.count() as usize);
         for shard in self.shards {
-            cycles.extend(shard.into_inner().into_inner().cycles());
+            let shard = shard.into_inner().into_inner();
+            out.extend(shard.cycles().map(|(vertices, edges)| f(vertices, edges)));
         }
-        cycles
+        out
     }
 
     /// Returns the collected cycles in canonical form, sorted, which gives a
@@ -258,7 +263,12 @@ impl CollectingSink {
     pub fn canonical_cycles(&self) -> Vec<Cycle> {
         let mut cycles = Vec::new();
         for shard in &self.shards {
-            cycles.extend(shard.lock().cycles().map(|c| c.canonicalize()));
+            let shard = shard.lock();
+            cycles.extend(
+                shard
+                    .cycles()
+                    .map(|(v, e)| Cycle::new(v.to_vec(), e.to_vec()).canonicalize()),
+            );
         }
         cycles.sort_by(|a, b| a.edges.cmp(&b.edges));
         cycles

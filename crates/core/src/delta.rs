@@ -922,45 +922,6 @@ mod tests {
     /// gets a few attempts on a multicore and is skipped on one core; the
     /// cycle count and the copy bound hold on every run.
     #[test]
-    fn hub_burst_work_is_spread_across_workers() {
-        let g = generators::hub_burst(2, 13);
-        let expected = generators::hub_burst_cycle_count(2, 13);
-        let pool = ThreadPool::new(4);
-        let fine = Schedule::Fine(&pool);
-        let plan = simple(SimpleCycleOptions::unconstrained());
-        let single_core = pce_sched::available_parallelism() < 2;
-        let attempts = if single_core { 1 } else { 5 };
-        let mut spread = false;
-        for attempt in 0..attempts {
-            let sink = CountingSink::new();
-            let work = run_all(&plan, fine, &g, &sink).work;
-            assert_eq!(sink.count(), expected, "attempt {attempt}");
-            let calls = work.total_recursive_calls();
-            assert!(
-                work.total_copies() <= calls / 4,
-                "attempt {attempt}: {} copies for {calls} calls",
-                work.total_copies()
-            );
-            let active = work.workers.iter().filter(|w| w.recursive_calls > 0);
-            spread = active.count() > 1 && work.total_steals() > 0;
-            if spread {
-                break;
-            }
-        }
-        assert!(
-            spread || single_core,
-            "fine-grained delta should spread a hub burst in {attempts} runs"
-        );
-
-        // The temporal variant agrees on the count (every hub-burst cycle is
-        // temporal by construction).
-        let sink = CountingSink::new();
-        let plan = temporal(TemporalCycleOptions::with_window(1_000));
-        run_all(&plan, fine, &g, &sink);
-        assert_eq!(sink.count(), expected);
-    }
-
-    #[test]
     fn partial_root_ranges_report_only_their_cycles() {
         // Two vertex-disjoint 2-cycles; each closes at its own later edge.
         let g = GraphBuilder::new()

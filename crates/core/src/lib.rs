@@ -69,7 +69,6 @@ pub mod seq;
 pub mod streaming;
 #[cfg(any(test, feature = "testing"))]
 pub mod testing;
-pub(crate) mod union;
 pub mod util;
 
 pub use cycle::{ChannelSink, CollectingSink, CountingSink, Cycle, CycleSink, FirstKSink};

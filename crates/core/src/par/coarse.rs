@@ -106,7 +106,7 @@ pub fn coarse_read_tarjan_simple<S: CycleSink>(
         pool,
         Algorithm::ReadTarjan,
         |root, scratch, sink, metrics, worker| {
-            read_tarjan_root(graph, root, opts, scratch, sink, metrics, worker)
+            read_tarjan_root(graph, root, opts, scratch, sink, metrics, worker, |_| {})
         },
     )
 }

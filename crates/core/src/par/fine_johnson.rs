@@ -16,7 +16,11 @@
 //!    vertices discovered by the victim *after* the branch was created can
 //!    still be reused when they remain valid for the shorter path;
 //! 3. it then continues as an independent search (registered for further
-//!    stealing), with its own copies of the data structures.
+//!    stealing), with its own copies of the data structures. Admissible
+//!    branches are computed against the cycle union of the *running*
+//!    worker's workspace: the thief recomputes the stolen root's union in its
+//!    own workspace (uncounted, unless the workspace still holds it) and never
+//!    reads another worker's.
 //!
 //! When the victim later backtracks over a frame that lost branches to
 //! thieves, it conservatively treats the stolen subtrees as if they had found
@@ -37,10 +41,10 @@ use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::SimpleCycleOptions;
 use crate::seq::{handle_self_loop_root, RootScratch};
-use crate::union::{UnionQuery, UnionView};
 use crate::util::{fx_map, fx_set, FxHashMap, FxHashSet};
 use crate::{Algorithm, Granularity};
 use parking_lot::Mutex;
+use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{EdgeId, TemporalGraph, TimeWindow, VertexId};
 use pce_sched::{DynamicCounter, StealRegistry, ThreadPool};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -73,7 +77,6 @@ struct SearchCore {
     root: EdgeId,
     v0: VertexId,
     window: TimeWindow,
-    union: Arc<UnionView>,
     use_blocking: bool,
     /// Path length when the search started (2 for root searches, the rolled
     /// back length for stolen searches); `frames[i]` corresponds to a path of
@@ -100,7 +103,6 @@ struct StolenBranch {
     root: EdgeId,
     v0: VertexId,
     window: TimeWindow,
-    union: Arc<UnionView>,
     use_blocking: bool,
     path: Vec<VertexId>,
     path_edges: Vec<EdgeId>,
@@ -111,31 +113,38 @@ struct StolenBranch {
     branch: (EdgeId, VertexId),
 }
 
-/// Computes the admissible branches of `v` for the given rooted search and
-/// records one edge visit per admissible candidate (the same accounting as
-/// the sequential Johnson implementation).
-#[allow(clippy::too_many_arguments)]
-fn admissible_branches(
-    graph: &TemporalGraph,
-    v: VertexId,
-    root: EdgeId,
-    v0: VertexId,
-    window: TimeWindow,
-    union: &UnionView,
-    metrics: &WorkMetrics,
-    worker: usize,
-) -> Vec<(EdgeId, VertexId)> {
-    let mut branches = Vec::new();
-    for &entry in graph.out_edges_in_window(v, window) {
-        if entry.edge <= root {
-            continue;
+impl SearchCore {
+    /// Pushes the frame of `v`: its admissible branches for this rooted
+    /// search against `union`, recording one edge visit per admissible
+    /// candidate (the same accounting as the sequential Johnson
+    /// implementation).
+    fn push_frame(
+        &mut self,
+        graph: &TemporalGraph,
+        v: VertexId,
+        union: &CycleUnionWorkspace,
+        metrics: &WorkMetrics,
+        worker: usize,
+    ) {
+        let mut branches = Vec::new();
+        for &entry in graph.out_edges_in_window(v, self.window) {
+            if entry.edge <= self.root {
+                continue;
+            }
+            metrics.edge_visit(worker);
+            if entry.neighbor == self.v0 || union.in_union(entry.neighbor) {
+                branches.push((entry.edge, entry.neighbor));
+            }
         }
-        metrics.edge_visit(worker);
-        if entry.neighbor == v0 || union.in_union(entry.neighbor) {
-            branches.push((entry.edge, entry.neighbor));
-        }
+        self.unclaimed += branches.len();
+        self.frames.push(Frame {
+            vertex: v,
+            branches,
+            next: 0,
+            found: false,
+            stolen: false,
+        });
     }
-    branches
 }
 
 /// The recursive unblocking procedure over owned blocked/Blist maps.
@@ -162,7 +171,7 @@ impl SharedSearch {
         graph: &TemporalGraph,
         root: EdgeId,
         opts: &SimpleCycleOptions,
-        union: Arc<UnionView>,
+        union: &CycleUnionWorkspace,
         metrics: &WorkMetrics,
         worker: usize,
     ) -> Self {
@@ -174,14 +183,10 @@ impl SharedSearch {
         let mut blocked = fx_set();
         blocked.insert(e0.src);
         blocked.insert(e0.dst);
-        let branches =
-            admissible_branches(graph, e0.dst, root, e0.src, window, &union, metrics, worker);
-        let unclaimed = branches.len();
-        let core = SearchCore {
+        let mut core = SearchCore {
             root,
             v0: e0.src,
             window,
-            union,
             use_blocking: opts.max_len.is_none(),
             base_path_len: 2,
             path: vec![e0.src, e0.dst],
@@ -189,17 +194,12 @@ impl SharedSearch {
             on_path,
             blocked,
             blist: fx_map(),
-            frames: vec![Frame {
-                vertex: e0.dst,
-                branches,
-                next: 0,
-                found: false,
-                stolen: false,
-            }],
-            unclaimed,
+            frames: Vec::new(),
+            unclaimed: 0,
         };
+        core.push_frame(graph, e0.dst, union, metrics, worker);
         Self {
-            stealable: AtomicBool::new(unclaimed > 0),
+            stealable: AtomicBool::new(core.unclaimed > 0),
             core: Mutex::new(core),
         }
     }
@@ -210,7 +210,6 @@ impl SharedSearch {
             root: stolen.root,
             v0: stolen.v0,
             window: stolen.window,
-            union: stolen.union,
             use_blocking: stolen.use_blocking,
             base_path_len,
             path: stolen.path,
@@ -280,7 +279,6 @@ impl SharedSearch {
             root: core.root,
             v0: core.v0,
             window: core.window,
-            union: Arc::clone(&core.union),
             use_blocking: core.use_blocking,
             path,
             path_edges,
@@ -294,7 +292,8 @@ impl SharedSearch {
 }
 
 /// Runs a search (rooted or stolen) to completion on the calling worker,
-/// exposing unclaimed branches to thieves throughout. Winds down early (with
+/// exposing unclaimed branches to thieves throughout. `union` is the search
+/// root's cycle union in this worker's own workspace. Winds down early (with
 /// branches unexplored) once the sink stops the run.
 fn run_search<S: CycleSink>(
     graph: &TemporalGraph,
@@ -302,6 +301,7 @@ fn run_search<S: CycleSink>(
     sink: &HaltingSink<'_, S>,
     metrics: &WorkMetrics,
     worker: usize,
+    union: &CycleUnionWorkspace,
     shared: &SharedSearch,
 ) {
     loop {
@@ -347,24 +347,7 @@ fn run_search<S: CycleSink>(
             if core.use_blocking {
                 core.blocked.insert(w);
             }
-            let branches = admissible_branches(
-                graph,
-                w,
-                core.root,
-                core.v0,
-                core.window,
-                &core.union,
-                metrics,
-                worker,
-            );
-            core.unclaimed += branches.len();
-            core.frames.push(Frame {
-                vertex: w,
-                branches,
-                next: 0,
-                found: false,
-                stolen: false,
-            });
+            core.push_frame(graph, w, union, metrics, worker);
             shared
                 .stealable
                 .store(core.unclaimed > 0, Ordering::Relaxed);
@@ -427,6 +410,17 @@ pub fn fine_johnson_simple<S: CycleSink>(
             scope.spawn(move |_, ctx| {
                 let worker = ctx.worker_id();
                 let mut scratch = RootScratch::new(graph.num_vertices());
+                // The root whose union `scratch` holds: a thief of that root
+                // needs no pass.
+                let mut union_root = None;
+                // Runs a search that `active` already counts, open to thieves.
+                let run = |search: SharedSearch, union: &CycleUnionWorkspace| {
+                    let shared = Arc::new(search);
+                    let guard = registry.register(Arc::clone(&shared));
+                    run_search(graph, opts, sink, metrics, worker, union, &shared);
+                    drop(guard);
+                    active.fetch_sub(1, Ordering::AcqRel);
+                };
                 loop {
                     if sink.stopped() {
                         break;
@@ -439,21 +433,19 @@ pub fn fine_johnson_simple<S: CycleSink>(
                         }
                         let e0 = graph.edge(root);
                         let window = TimeWindow::from_start(e0.ts, opts.effective_delta());
+                        union_root = Some(root);
                         if !metrics.counted_union_pass(worker, &mut scratch.union, |u| {
                             u.compute_simple(graph, root, window)
                         }) {
                             metrics.add_busy(worker, prep.elapsed());
                             continue;
                         }
-                        let union = Arc::new(UnionView::from_simple(&scratch.union));
+                        let union = &scratch.union;
                         active.fetch_add(1, Ordering::AcqRel);
-                        let shared = Arc::new(SharedSearch::new_root(
-                            graph, root, opts, union, metrics, worker,
-                        ));
-                        let guard = registry.register(Arc::clone(&shared));
-                        run_search(graph, opts, sink, metrics, worker, &shared);
-                        drop(guard);
-                        active.fetch_sub(1, Ordering::AcqRel);
+                        run(
+                            SharedSearch::new_root(graph, root, opts, union, metrics, worker),
+                            union,
+                        );
                         metrics.add_busy(worker, prep.elapsed());
                     } else if let Some(stolen) =
                         registry.try_steal(|victim| victim.try_steal(metrics, worker))
@@ -461,11 +453,15 @@ pub fn fine_johnson_simple<S: CycleSink>(
                         let t0 = Instant::now();
                         metrics.steal_event(worker);
                         active.fetch_add(1, Ordering::AcqRel);
-                        let shared = Arc::new(SharedSearch::from_stolen(stolen));
-                        let guard = registry.register(Arc::clone(&shared));
-                        run_search(graph, opts, sink, metrics, worker, &shared);
-                        drop(guard);
-                        active.fetch_sub(1, Ordering::AcqRel);
+                        if union_root != Some(stolen.root) {
+                            union_root = Some(stolen.root);
+                            let nonempty =
+                                scratch
+                                    .union
+                                    .compute_simple(graph, stolen.root, stolen.window);
+                            debug_assert!(nonempty, "a stolen root has a non-empty union");
+                        }
+                        run(SharedSearch::from_stolen(stolen), &scratch.union);
                         metrics.add_busy(worker, t0.elapsed());
                     } else if counter.exhausted() && active.load(Ordering::Acquire) == 0 {
                         break;
@@ -529,45 +525,6 @@ mod tests {
                 "seed {seed}"
             );
         }
-    }
-
-    #[test]
-    fn fig4a_work_is_spread_across_workers() {
-        // All 2^(n-2) cycles hang off a single root edge; with 4 workers the
-        // fine-grained algorithm must steal branches of that single search.
-        // The graph is sized so the search takes long enough for thieves to
-        // arrive even on a fast machine.
-        let g = generators::fig4a_exponential_cycles(16);
-        let sink = CountingSink::new();
-        let stats = fine_johnson_simple(
-            &g,
-            &SimpleCycleOptions::unconstrained(),
-            &sink,
-            &ThreadPool::new(4),
-        );
-        assert_eq!(sink.count(), generators::fig4a_cycle_count(16));
-        eprintln!(
-            "fig4a steals={} copies={} per-worker calls={:?}",
-            stats.work.total_steals(),
-            stats.work.total_copies(),
-            stats
-                .work
-                .workers
-                .iter()
-                .map(|w| w.recursive_calls)
-                .collect::<Vec<_>>()
-        );
-        assert!(stats.work.total_steals() > 0, "steals should have happened");
-        let active_workers = stats
-            .work
-            .workers
-            .iter()
-            .filter(|w| w.recursive_calls > 0)
-            .count();
-        assert!(
-            active_workers > 1,
-            "fine-grained Johnson should use several workers on Figure 4a"
-        );
     }
 
     #[test]

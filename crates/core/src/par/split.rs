@@ -1,5 +1,6 @@
-//! The split-on-demand skeleton of the in-place searches: fine temporal
-//! (§7) and every schedule of the streaming delta search.
+//! The split-on-demand skeleton of the in-place searches, fine temporal (§7)
+//! and every schedule of the streaming delta search, and the split policy
+//! that fine Read-Tarjan shares with them.
 //!
 //! A worker runs a rooted search depth-first, in place, on its own reusable
 //! [`Buffers`]: the path, and an explicit stack of [`Frame`]s — one per
@@ -11,12 +12,13 @@
 //! Work is split off **on demand** (copy-on-steal, §5–§7). When a search may
 //! split, the worker asks the pool before each descent whether a worker is
 //! idle ([`WorkerCtx::idle_workers`]) that no earlier split is still waiting
-//! for. Only then does it split: the first half of the shallowest frame's
-//! unscanned edges (the largest unexplored subtrees) goes to one new task
-//! with a copy of the path prefix, and the worker that runs it re-derives the
-//! root's per-root state in its own scratch ([`Driver::resume`]) unless that
-//! scratch still holds it. A lone busy worker never copies; a worker that
-//! falls idle is handed work at the busy worker's next descent.
+//! for ([`Workers::wants_split`]). Only then does it split: the first half of
+//! the shallowest frame's unscanned edges (the largest unexplored subtrees)
+//! goes to one new task with a copy of the path prefix, and the worker that
+//! runs it re-derives the root's per-root state in its own scratch
+//! ([`Driver::resume`]) unless that scratch still holds it. A lone busy
+//! worker never copies; a worker that falls idle is handed work at the busy
+//! worker's next descent.
 
 use crate::metrics::WorkMetrics;
 use crate::util::FxHashSet;
@@ -101,8 +103,6 @@ pub(crate) struct Split<'g> {
     pub(crate) path: Vec<VertexId>,
     pub(crate) path_edges: Vec<EdgeId>,
     pub(crate) frame: Frame<'g>,
-    /// Worker that split it off; running it elsewhere is a steal.
-    spawned_by: usize,
 }
 
 /// The per-worker states of one run and its count of waiting splits.
@@ -129,6 +129,44 @@ impl<W> Workers<W> {
 
     pub(crate) fn lock(&self, worker: usize) -> MutexGuard<'_, W> {
         self.states[worker].lock()
+    }
+
+    /// Whether a worker is idle that no split spawned earlier is still
+    /// waiting for: the one test every fine search asks before it splits.
+    pub(crate) fn wants_split(&self, ctx: &WorkerCtx<'_>) -> bool {
+        let idle = ctx.idle_workers();
+        idle > 0 && idle > self.waiting.load(Ordering::Relaxed)
+    }
+
+    /// Spawns `run` as a split task onto this worker's deque. The task does
+    /// nothing once `stopped()` holds (so the scope drains quickly); else it
+    /// records a steal if the pool moved it off its spawner, runs on the
+    /// receiving worker's state and counts its busy time there.
+    pub(crate) fn spawn_split<'scope>(
+        &'scope self,
+        metrics: &'scope WorkMetrics,
+        stopped: impl Fn() -> bool + Send + 'scope,
+        scope: &Scope<'scope>,
+        ctx: &WorkerCtx<'_>,
+        run: impl FnOnce(&mut W, &Scope<'scope>, &WorkerCtx<'_>) + Send + 'scope,
+    ) where
+        W: Send,
+    {
+        let spawned_by = ctx.worker_id();
+        self.waiting.fetch_add(1, Ordering::Relaxed);
+        ctx.spawn(scope, move |scope, ctx| {
+            self.waiting.fetch_sub(1, Ordering::Relaxed);
+            if stopped() {
+                return;
+            }
+            let worker = ctx.worker_id();
+            if worker != spawned_by {
+                metrics.steal_event(worker);
+            }
+            let start = Instant::now();
+            run(&mut self.lock(worker), scope, ctx);
+            metrics.add_busy(worker, start.elapsed());
+        });
     }
 
     pub(crate) fn into_states(self) -> impl Iterator<Item = W> {
@@ -205,8 +243,7 @@ pub(crate) fn search<'g, 'scope, D: Driver<'g>>(
             continue;
         };
         if let Some((scope, ctx)) = split {
-            let idle = ctx.idle_workers();
-            if idle > 0 && idle > driver.workers().waiting.load(Ordering::Relaxed) {
+            if driver.workers().wants_split(ctx) {
                 split_shallowest(driver, buf, root, scope, ctx);
             }
         }
@@ -237,7 +274,6 @@ fn split_shallowest<'g, 'scope, D: Driver<'g>>(
     let (give, keep) = frame.edges.split_at(frame.edges.len().div_ceil(2));
     frame.edges = keep;
     let prefix = buf.base + depth;
-    let worker = ctx.worker_id();
     let task = Split {
         root,
         path: buf.path[..prefix].to_vec(),
@@ -246,25 +282,13 @@ fn split_shallowest<'g, 'scope, D: Driver<'g>>(
             edges: give,
             ..*frame
         },
-        spawned_by: worker,
     };
-    driver.metrics().copy_event(worker);
-    driver.workers().waiting.fetch_add(1, Ordering::Relaxed);
-    ctx.spawn(scope, move |scope, ctx| {
-        driver.workers().waiting.fetch_sub(1, Ordering::Relaxed);
-        // A task scheduled after the sink stopped the run returns
-        // immediately (and splits nothing), so the scope drains quickly.
-        if driver.stopped() {
-            return;
-        }
-        let worker = ctx.worker_id();
-        if worker != task.spawned_by {
-            // The pool's deques moved the task; record the steal where it
-            // runs.
-            driver.metrics().steal_event(worker);
-        }
-        let start = Instant::now();
-        driver.resume(&mut driver.workers().lock(worker), task, scope, ctx);
-        driver.metrics().add_busy(worker, start.elapsed());
-    });
+    driver.metrics().copy_event(ctx.worker_id());
+    driver.workers().spawn_split(
+        driver.metrics(),
+        || driver.stopped(),
+        scope,
+        ctx,
+        move |state, scope, ctx| driver.resume(state, task, scope, ctx),
+    );
 }

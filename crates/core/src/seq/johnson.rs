@@ -22,9 +22,9 @@ use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::SimpleCycleOptions;
 use crate::seq::{handle_self_loop_root, timed_run, RootScratch};
-use crate::union::UnionQuery;
 use crate::util::{fx_map, fx_set, FxHashMap, FxHashSet};
 use crate::{Algorithm, Granularity};
+use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{EdgeId, TemporalGraph, TimeWindow, VertexId};
 
 /// The per-root Johnson search state. Exposed (crate-internally) because the
@@ -35,7 +35,7 @@ struct JohnsonSearch<'a, S> {
     metrics: &'a WorkMetrics,
     worker: usize,
     opts: &'a SimpleCycleOptions,
-    union: &'a dyn UnionQuery,
+    union: &'a CycleUnionWorkspace,
     root: EdgeId,
     v0: VertexId,
     window: TimeWindow,

@@ -29,17 +29,20 @@
 //!
 //! Crucially, and unlike Johnson, calls only pass information *down* (each
 //! child receives copies of `Π` and `Blk`), never back up — which is what
-//! makes the fine-grained parallelisation of §6 work efficient: child calls
-//! are completely independent tasks.
+//! makes the fine-grained parallelisation of §6 work efficient: any pending
+//! child call can run on any worker. Every granularity runs the same loop
+//! over a stack of pending calls (`run_calls`); the fine-grained driver
+//! only adds a hook that hands the oldest pending call to an idle worker.
 
 use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::SimpleCycleOptions;
 use crate::seq::{handle_self_loop_root, timed_run, RootScratch};
-use crate::union::UnionQuery;
 use crate::util::{fx_set, FxHashSet};
 use crate::{Algorithm, Granularity};
+use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{AdjEntry, EdgeId, TemporalGraph, TimeWindow, VertexId};
+use std::collections::VecDeque;
 
 /// A path extension: a sequence of `(edge, target-vertex)` steps leading from
 /// the current frontier back to the root vertex `v0`. The final step always
@@ -50,8 +53,8 @@ pub(crate) struct Extension {
     pub steps: Vec<(EdgeId, VertexId)>,
 }
 
-/// The state a Read-Tarjan recursive call owns. Parallel drivers ship this
-/// across threads, so it is a plain owned value.
+/// The state a Read-Tarjan recursive call owns: a plain owned value, so the
+/// fine-grained driver can hand a pending call to another worker.
 #[derive(Debug, Clone)]
 pub(crate) struct RtCallState {
     /// Current path vertices (starting with `v0`).
@@ -75,7 +78,8 @@ pub(crate) struct RtContext<'a, S> {
     pub sink: &'a HaltingSink<'a, S>,
     pub metrics: &'a WorkMetrics,
     pub opts: &'a SimpleCycleOptions,
-    pub union: &'a dyn UnionQuery,
+    /// The root's cycle union, in the running worker's own workspace.
+    pub union: &'a CycleUnionWorkspace,
     pub root: EdgeId,
     pub v0: VertexId,
     pub window: TimeWindow,
@@ -188,9 +192,8 @@ impl<S: CycleSink> RtContext<'_, S> {
 }
 
 /// One recursive Read-Tarjan call. Cycles are reported to the context's sink;
-/// every child call produced is handed to `spawn_child` (which the sequential
-/// driver executes by direct recursion and the fine-grained parallel driver
-/// turns into an independently scheduled task).
+/// every child call produced is handed to `spawn_child`, which [`run_calls`]
+/// pushes onto its stack of pending calls.
 pub(crate) fn rt_call<S: CycleSink>(
     ctx: &RtContext<'_, S>,
     worker: usize,
@@ -321,8 +324,9 @@ pub(crate) fn rt_initial_state<S: CycleSink>(
     })
 }
 
-/// Runs the Read-Tarjan search rooted at edge `root` sequentially (children
-/// are executed by direct recursion on the same thread).
+/// Runs the Read-Tarjan search rooted at edge `root` on the running worker's
+/// `scratch` (see [`run_calls`] for `hand_off`).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn read_tarjan_root<S: CycleSink>(
     graph: &TemporalGraph,
     root: EdgeId,
@@ -331,6 +335,7 @@ pub(crate) fn read_tarjan_root<S: CycleSink>(
     sink: &HaltingSink<'_, S>,
     metrics: &WorkMetrics,
     worker: usize,
+    hand_off: impl FnMut(&mut VecDeque<RtCallState>),
 ) {
     if handle_self_loop_root(graph, root, opts, sink) {
         return;
@@ -355,20 +360,30 @@ pub(crate) fn read_tarjan_root<S: CycleSink>(
     let Some(initial) = rt_initial_state(&ctx, worker, root) else {
         return;
     };
-    run_call_recursive(&ctx, worker, initial);
+    run_calls(&ctx, worker, initial, hand_off);
 }
 
-/// Executes an `rt_call` and every child it spawns by direct recursion (the
-/// sequential execution strategy).
-fn run_call_recursive<S: CycleSink>(ctx: &RtContext<'_, S>, worker: usize, state: RtCallState) {
-    let mut pending: Vec<RtCallState> = vec![state];
-    // Children are executed depth-first from an explicit stack so that deeply
-    // nested spawn chains cannot overflow the call stack.
-    while let Some(next) = pending.pop() {
+/// Executes an `rt_call` and every child it spawns, depth-first from an
+/// explicit stack of pending calls so that deeply nested spawn chains cannot
+/// overflow the call stack. After each child is pushed, `hand_off` may take
+/// calls off the front of the stack to run elsewhere: the oldest pending
+/// call is the shallowest, with the largest subtree. Sequential and
+/// coarse-grained runs hand nothing off.
+pub(crate) fn run_calls<S: CycleSink>(
+    ctx: &RtContext<'_, S>,
+    worker: usize,
+    initial: RtCallState,
+    mut hand_off: impl FnMut(&mut VecDeque<RtCallState>),
+) {
+    let mut pending = VecDeque::from([initial]);
+    while let Some(next) = pending.pop_back() {
         if ctx.sink.stopped() {
             return;
         }
-        rt_call(ctx, worker, next, &mut |child| pending.push(child));
+        rt_call(ctx, worker, next, &mut |child| {
+            pending.push_back(child);
+            hand_off(&mut pending);
+        });
     }
 }
 
@@ -387,7 +402,7 @@ pub fn read_tarjan_simple<S: CycleSink>(
             if sink.stopped() {
                 break;
             }
-            read_tarjan_root(graph, root, opts, &mut scratch, &sink, &metrics, 0);
+            read_tarjan_root(graph, root, opts, &mut scratch, &sink, &metrics, 0, |_| {});
         }
     })
     .tagged(Algorithm::ReadTarjan, Granularity::Sequential)

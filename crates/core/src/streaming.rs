@@ -626,11 +626,11 @@ impl StreamingEngine {
                     &sink,
                     &mut self.scratches,
                 );
-                let resolved = sink
-                    .into_cycles()
-                    .into_iter()
-                    .map(|c| resolve_cycle(&self.graph, c))
-                    .collect();
+                let graph = &self.graph;
+                let resolved = sink.into_mapped(|vertices, edges| StreamCycle {
+                    vertices: vertices.to_vec(),
+                    edges: edges.iter().map(|&id| GraphView::edge(graph, id)).collect(),
+                });
                 (resolved, stats)
             }
             CollectMode::Count => {

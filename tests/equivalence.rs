@@ -221,9 +221,19 @@ fn prop_bundled_count_matches_enumeration() {
 
 /// Every granularity at every thread count counts the same roots and the
 /// same cycle-union members: a root is counted before its union pass, and
-/// its union's size right after it, whichever driver runs it.
+/// its union's size right after it, whichever driver runs it. The
+/// work-efficient searches (Theorem 6.1) also agree on their work: edge
+/// visits, recursive calls and (Read-Tarjan) copies. Fine Johnson's work
+/// depends on its steals (§5), and a fine temporal split copies a path.
 #[test]
 fn root_and_union_counters_agree_across_granularities() {
+    const NAMES: [&str; 5] = [
+        "roots",
+        "union members",
+        "edge visits",
+        "recursive calls",
+        "copies",
+    ];
     for seed in [41u64, 42] {
         let graph = generators::power_law_temporal(generators::RandomTemporalConfig {
             num_vertices: 50,
@@ -231,29 +241,40 @@ fn root_and_union_counters_agree_across_granularities() {
             time_span: 300,
             seed,
         });
+        // Each query with how many of the counters in `NAMES` must agree.
         let queries = [
             (
                 "Johnson",
                 simple_query(Algorithm::Johnson, Granularity::Sequential, 30),
+                2,
             ),
             (
                 "Read-Tarjan",
                 simple_query(Algorithm::ReadTarjan, Granularity::Sequential, 30),
+                5,
             ),
-            ("temporal", Query::temporal().window(60)),
+            ("temporal", Query::temporal().window(60), 4),
         ];
-        for (name, query) in queries {
+        for (name, query, agreeing) in queries {
             let counters = |gran: Granularity, threads: usize| {
                 let query = query.clone().granularity(gran).collect(CollectMode::Count);
-                let stats = Engine::with_threads(threads)
+                let work = Engine::with_threads(threads)
                     .run(&query, &graph)
                     .unwrap()
-                    .stats;
-                (stats.work.total_roots(), stats.work.total_union_members())
+                    .stats
+                    .work;
+                let all = [
+                    work.total_roots(),
+                    work.total_union_members(),
+                    work.total_edge_visits(),
+                    work.total_recursive_calls(),
+                    work.total_copies(),
+                ];
+                all[..agreeing].to_vec()
             };
             let reference = counters(Granularity::Sequential, 1);
             assert!(
-                reference.1 > 0,
+                reference[1] > 0,
                 "seed {seed} {name}: no union members counted"
             );
             for gran in [
@@ -265,7 +286,8 @@ fn root_and_union_counters_agree_across_granularities() {
                     assert_eq!(
                         counters(gran, threads),
                         reference,
-                        "seed {seed} {name} {gran:?} x{threads}: (roots, union members)"
+                        "seed {seed} {name} {gran:?} x{threads}: {:?}",
+                        &NAMES[..agreeing]
                     );
                 }
             }
