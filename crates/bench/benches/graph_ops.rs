@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pce_graph::generators::{self, RandomTemporalConfig};
 use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::scc::tarjan_scc;
-use pce_graph::{CyclePredicate, GraphBuilder, TimeWindow};
+use pce_graph::{CyclePredicate, EdgeId, GraphBuilder, TimeWindow};
+use pce_workloads::{dataset, DatasetId};
 
 fn workload() -> pce_graph::TemporalGraph {
     generators::power_law_temporal(RandomTemporalConfig {
@@ -111,6 +112,21 @@ fn bench_cycle_union(c: &mut Criterion) {
             },
         );
     }
+    // Every root of the WT stand-in at the δ of perfbench's `static_oneshot`
+    // simple-cycle queries: the union pass behind fine Johnson and
+    // Read-Tarjan there.
+    let wt = dataset(DatasetId::WT).build().graph;
+    group.bench_with_input(BenchmarkId::new("simple", "wt"), &1_600, |b, &delta| {
+        let mut ws = CycleUnionWorkspace::new(wt.num_vertices());
+        b.iter(|| {
+            (0..wt.num_edges() as EdgeId)
+                .filter(|&root| {
+                    let window = TimeWindow::from_start(wt.edge(root).ts, delta);
+                    ws.compute_simple(&wt, root, window)
+                })
+                .count()
+        })
+    });
     group.finish();
 }
 

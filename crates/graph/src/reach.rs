@@ -22,11 +22,13 @@
 //!
 //! The computation reuses buffers across roots ([`CycleUnionWorkspace`]) and
 //! uses epoch-stamping instead of clearing, so no pass pays for the size of
-//! the graph. A simple pass costs the window-sliced out-edges of the
-//! forward-reachable set, plus — only when the head reaches the tail — the
-//! in-edges of the union itself; a temporal pass scans the window's edges
-//! twice. The union's members are gathered during the passes, never by a
-//! scan over all vertices.
+//! the graph. A simple pass grows the forward and backward sets in lockstep
+//! and stops as soon as either runs dry, so when the head cannot reach the
+//! tail it costs about the cheaper of the two sides; when it can, it costs
+//! the window-sliced out-edges of the forward-reachable set plus the in-edges
+//! of the union and of what the backward side stamped before the sides met.
+//! A temporal pass scans the window's edges twice. The union's members are
+//! gathered during the passes, never by a scan over all vertices.
 
 use crate::predicate::{CyclePredicate, VertexFilter};
 use crate::temporal::{AdjEntry, TemporalGraph};
@@ -145,8 +147,10 @@ impl CycleUnionWorkspace {
     /// Returns `true` if the union is non-empty in the sense that the head of
     /// the root edge can reach its tail (i.e. at least one cycle through the
     /// root edge may exist); when the head cannot reach the tail the union is
-    /// left empty. Costs the forward-reachable set's out-edges, plus the
-    /// union's in-edges when the tail is reached.
+    /// left empty. When the head cannot reach the tail, costs about the
+    /// cheaper of the forward and backward reachability sets' adjacency;
+    /// otherwise the forward-reachable set's out-edges plus about the union's
+    /// in-edges.
     ///
     /// Generic over [`GraphView`], so it runs on both the static
     /// [`TemporalGraph`] and the streaming
@@ -242,8 +246,8 @@ impl CycleUnionWorkspace {
     /// the set of vertices on at least one path `w → … → u` over admissible
     /// edges; returns `true` if any such path (and therefore possibly a
     /// cycle closed by the root) exists. Like [`Self::compute_simple`], it
-    /// leaves the union empty when there is none, and costs only the
-    /// forward-reachable set's out-edges plus the union's in-edges.
+    /// leaves the union empty when there is none, and then costs about the
+    /// cheaper of the forward and backward sides.
     ///
     /// `predicate` filters admissible edges and vertices by attribute: an
     /// edge rejected by the predicate's per-edge part — or a vertex rejected
@@ -372,12 +376,18 @@ impl CycleUnionWorkspace {
         self.fwd_epoch[u as usize] == self.epoch && self.bwd_epoch[w as usize] == self.epoch
     }
 
-    /// The two BFS of a simple pass from the root's `head` to its `tail`.
-    /// The backward BFS runs only when the forward one reached `tail`, and
-    /// only inside the forward-reachable set: every vertex on a path from a
-    /// union member to `tail` is forward-reachable through that member, so
-    /// its queue is exactly the union. Returns whether that BFS got back to
-    /// `head`, i.e. whether `head` reaches `tail`.
+    /// The bidirectional search of a simple pass from the root's `head` to
+    /// its `tail`. A forward BFS from `head` and a backward BFS from `tail`
+    /// advance in lockstep, one vertex at a time on the side that has
+    /// scanned fewer adjacency entries so far, until a newly stamped vertex
+    /// carries the other side's stamp. If either queue runs dry first, no
+    /// vertex carries both stamps and `head` cannot reach `tail`: the union
+    /// stays empty and the pass has cost about its cheaper side. Once the
+    /// sides meet, the forward BFS runs to completion and the backward one
+    /// goes on inside the forward-reachable set: every vertex on a path from
+    /// a union member to `tail` is forward-reachable through that member, so
+    /// the forward-stamped part of its queue is exactly the union. Returns
+    /// whether the sides met, i.e. whether `head` reaches `tail`.
     fn simple_union<G: GraphView + ?Sized>(
         &mut self,
         graph: &G,
@@ -387,31 +397,55 @@ impl CycleUnionWorkspace {
         admissible: impl Fn(&AdjEntry) -> bool,
     ) -> bool {
         let epoch = self.epoch;
-        epoch_bfs(
-            graph,
-            window,
-            head,
-            epoch,
-            &mut self.fwd_epoch,
-            &mut self.queue,
-            Direction::Forward,
-            &admissible,
-        );
-        if self.fwd_epoch[tail as usize] != epoch {
-            return false;
+        let (fwd, bwd) = (&mut self.fwd_epoch, &mut self.bwd_epoch);
+        // The backward queue becomes the union; `bump_epoch` cleared it.
+        let (fwd_queue, bwd_queue) = (&mut self.queue, &mut self.union_members);
+        fwd_queue.clear();
+        fwd[head as usize] = epoch;
+        fwd_queue.push(head);
+        bwd[tail as usize] = epoch;
+        bwd_queue.push(tail);
+        let (mut fwd_next, mut bwd_next) = (0, 0);
+        // Adjacency entries scanned per side, plus one per expanded vertex.
+        let (mut fwd_cost, mut bwd_cost) = (0, 0);
+        let mut met = fwd[tail as usize] == epoch;
+        while !met {
+            if fwd_next == fwd_queue.len() || bwd_next == bwd_queue.len() {
+                bwd_queue.clear();
+                return false;
+            }
+            if fwd_cost <= bwd_cost {
+                let x = fwd_queue[fwd_next];
+                fwd_next += 1;
+                let out = graph.out_edges_in_window(x, window);
+                fwd_cost += out.len() + 1;
+                met = stamp_neighbors(out, &admissible, epoch, fwd, bwd, fwd_queue);
+            } else {
+                let x = bwd_queue[bwd_next];
+                bwd_next += 1;
+                let into = graph.in_edges_in_window(x, window);
+                bwd_cost += into.len() + 1;
+                met = stamp_neighbors(into, &admissible, epoch, bwd, fwd, bwd_queue);
+            }
         }
-        let (fwd, bwd) = (&self.fwd_epoch, &mut self.bwd_epoch);
-        epoch_bfs(
-            graph,
-            window,
-            tail,
-            epoch,
-            bwd,
-            &mut self.union_members,
-            Direction::Backward,
-            |entry| fwd[entry.neighbor as usize] == epoch && admissible(entry),
-        );
-        self.bwd_epoch[head as usize] == epoch
+        while let Some(&x) = fwd_queue.get(fwd_next) {
+            fwd_next += 1;
+            let out = graph.out_edges_in_window(x, window);
+            stamp_neighbors(out, &admissible, epoch, fwd, bwd, fwd_queue);
+        }
+        let fwd = &*fwd;
+        let inside = |entry: &AdjEntry| fwd[entry.neighbor as usize] == epoch && admissible(entry);
+        while let Some(&x) = bwd_queue.get(bwd_next) {
+            bwd_next += 1;
+            // A vertex outside the forward-reachable set has no in-neighbour
+            // inside it, so there is nothing to scan.
+            if fwd[x as usize] == epoch {
+                let into = graph.in_edges_in_window(x, window);
+                stamp_neighbors(into, inside, epoch, bwd, fwd, bwd_queue);
+            }
+        }
+        bwd_queue.retain(|&v| fwd[v as usize] == epoch);
+        true
     }
 
     /// Filters the forward-reachable candidates recorded by a temporal pass
@@ -438,55 +472,31 @@ impl CycleUnionWorkspace {
     }
 }
 
-/// Which adjacency an [`epoch_bfs`] traverses.
-#[derive(Clone, Copy)]
-enum Direction {
-    /// Follow out-edges (reachability *from* the seed).
-    Forward,
-    /// Follow in-edges (reachability *to* the seed).
-    Backward,
-}
-
-/// The one epoch-stamped BFS behind every simple cycle-union pass: marks
-/// every vertex reachable from `seed` over `window`-sliced adjacency entries
-/// accepted by `admissible`, stamping `marks` with `epoch`. Shared by the
-/// forward/backward passes of both the min-rooted
-/// ([`CycleUnionWorkspace::compute_simple`]) and max-rooted
-/// ([`CycleUnionWorkspace::compute_simple_before`]) computations so the
-/// traversal logic exists exactly once.
-#[allow(clippy::too_many_arguments)] // private helper; the args are the BFS
-fn epoch_bfs<G: GraphView + ?Sized>(
-    graph: &G,
-    window: TimeWindow,
-    seed: VertexId,
+/// One BFS step of [`CycleUnionWorkspace::simple_union`]: stamps with
+/// `epoch` every unmarked neighbour in `adjacency` that `admissible` accepts
+/// and queues it. Returns whether a newly stamped vertex already carries the
+/// other side's stamp in `other`.
+fn stamp_neighbors(
+    adjacency: &[AdjEntry],
+    admissible: impl Fn(&AdjEntry) -> bool,
     epoch: u32,
     marks: &mut [u32],
+    other: &[u32],
     queue: &mut Vec<VertexId>,
-    direction: Direction,
-    admissible: impl Fn(&AdjEntry) -> bool,
-) {
-    queue.clear();
-    marks[seed as usize] = epoch;
-    queue.push(seed);
-    let mut head = 0;
-    while head < queue.len() {
-        let x = queue[head];
-        head += 1;
-        let adjacency = match direction {
-            Direction::Forward => graph.out_edges_in_window(x, window),
-            Direction::Backward => graph.in_edges_in_window(x, window),
-        };
-        for entry in adjacency {
-            if !admissible(entry) {
-                continue;
-            }
-            let y = entry.neighbor as usize;
-            if marks[y] != epoch {
-                marks[y] = epoch;
-                queue.push(entry.neighbor);
-            }
+) -> bool {
+    let mut met = false;
+    for entry in adjacency {
+        if !admissible(entry) {
+            continue;
+        }
+        let y = entry.neighbor as usize;
+        if marks[y] != epoch {
+            marks[y] = epoch;
+            queue.push(entry.neighbor);
+            met |= other[y] == epoch;
         }
     }
+    met
 }
 
 /// Convenience wrapper: the set of vertices reachable from `start` ignoring
@@ -1077,6 +1087,201 @@ mod tests {
             unreachable_roots.iter().all(|&c| c > 0),
             "{unreachable_roots:?}"
         );
+    }
+
+    /// The id of the `src → dst` edge at `ts`.
+    fn edge_id(g: &TemporalGraph, src: VertexId, dst: VertexId, ts: Timestamp) -> EdgeId {
+        g.edge_ids()
+            .find(|(_, e)| (e.src, e.dst, e.ts) == (src, dst, ts))
+            .expect("edge exists")
+            .0
+    }
+
+    /// Runs [`CycleUnionWorkspace::compute_simple`] on `root` and checks it
+    /// against the from-scratch oracle; returns the pass's result.
+    fn check_simple(
+        ws: &mut CycleUnionWorkspace,
+        g: &TemporalGraph,
+        root: EdgeId,
+        window: TimeWindow,
+        what: &str,
+    ) -> bool {
+        let edges: Vec<(EdgeId, TemporalEdge)> = g.edge_ids().collect();
+        let e0 = g.edge(root);
+        let after = triples(&edges, |id, e| id > root && window.contains(e.ts));
+        let (head, tail) = ((e0.dst, e0.ts), (e0.src, e0.ts));
+        let oracle = Oracle::new(g.num_vertices(), false, head, tail, &after, &after);
+        let got = ws.compute_simple(g, root, window);
+        oracle.check(ws, got, (e0.dst, e0.src), true, what);
+        got
+    }
+
+    /// [`check_simple`] for [`CycleUnionWorkspace::compute_simple_before`].
+    fn check_simple_before(
+        ws: &mut CycleUnionWorkspace,
+        g: &TemporalGraph,
+        root: EdgeId,
+        window: TimeWindow,
+        predicate: &CyclePredicate,
+        what: &str,
+    ) -> bool {
+        let edges: Vec<(EdgeId, TemporalEdge)> = g.edge_ids().collect();
+        let e0 = g.edge(root);
+        let (u, w) = (e0.src, e0.dst);
+        let vf = predicate.vertex_filter();
+        let before = |id: EdgeId, e: &TemporalEdge| {
+            id < root && window.contains(e.ts) && predicate.edge_predicate().accepts(e)
+        };
+        let fwd = triples(&edges, |id, e| before(id, e) && vf.accepts(e.dst));
+        let bwd = triples(&edges, |id, e| before(id, e) && vf.accepts(e.src));
+        let oracle = Oracle::new(g.num_vertices(), false, (w, e0.ts), (u, e0.ts), &fwd, &bwd);
+        let got = ws.compute_simple_before(g, root, window, predicate);
+        oracle.check(ws, got, (w, u), true, what);
+        got
+    }
+
+    #[test]
+    fn lockstep_pass_stops_when_the_backward_side_runs_dry() {
+        // Root 2 → 1: the head 1 fans out to 10..=29 and on to 40..=59, while
+        // the tail 2's only in-edges are the earlier 0 → 2 and, outside a
+        // narrow window, 29 → 2. The forward side expands the head first and
+        // queues the whole fan; the backward side then expands the tail,
+        // admits nothing and runs dry with the fan still queued.
+        let mut b = GraphBuilder::new().add_edge(2, 1, 1).add_edge(0, 2, 1);
+        for i in 10..30 {
+            b = b.add_edge(1, i, 2).add_edge(i, i + 30, 3);
+        }
+        let g = b.add_edge(29, 2, 50).build();
+        let root = edge_id(&g, 2, 1, 1);
+        assert!(edge_id(&g, 0, 2, 1) < root, "0 → 2 precedes the root");
+        let mut ws = CycleUnionWorkspace::new(g.num_vertices());
+        let narrow = TimeWindow::from_start(1, 10);
+        assert!(!check_simple(&mut ws, &g, root, narrow, "narrow"));
+        assert!(!ws.in_union(10) && !ws.in_union(2));
+        // A window that admits 29 → 2 closes the cycle 2 → 1 → 29 → 2.
+        let wide = TimeWindow::from_start(1, 100);
+        assert!(check_simple(&mut ws, &g, root, wide, "wide"));
+        let mut members = ws.union_members().to_vec();
+        members.sort_unstable();
+        assert_eq!(members, vec![1, 2, 29]);
+    }
+
+    #[test]
+    fn lockstep_pass_stops_when_the_forward_side_runs_dry() {
+        // The mirror: root 2 → 1, the head's only way on is 1 → 3, a dead
+        // end inside a narrow window, while 10..=29 (fed by 40..=59) all
+        // lead into the tail. The backward side queues the whole in-fan; the
+        // forward side then expands 3, admits nothing and runs dry.
+        let mut b = GraphBuilder::new().add_edge(2, 1, 1).add_edge(1, 3, 2);
+        for i in 10..30 {
+            b = b.add_edge(i, 2, 3).add_edge(i + 30, i, 2);
+        }
+        let g = b.add_edge(3, 29, 50).build();
+        let root = edge_id(&g, 2, 1, 1);
+        let mut ws = CycleUnionWorkspace::new(g.num_vertices());
+        let narrow = TimeWindow::from_start(1, 10);
+        assert!(!check_simple(&mut ws, &g, root, narrow, "narrow"));
+        assert!(!ws.in_union(29) && !ws.in_union(3));
+        // A window that admits 3 → 29 closes 2 → 1 → 3 → 29 → 2.
+        let wide = TimeWindow::from_start(1, 100);
+        assert!(check_simple(&mut ws, &g, root, wide, "wide"));
+        let mut members = ws.union_members().to_vec();
+        members.sort_unstable();
+        assert_eq!(members, vec![1, 2, 3, 29]);
+    }
+
+    #[test]
+    fn lockstep_pass_meets_on_the_first_hop() {
+        // A 2-cycle 0 → 1 → 0 inside a dead-end out-fan of 1 (to 10..=14)
+        // and an unreachable in-fan of 0 (from 20..=24): the head's first
+        // expansion stamps the tail, and the fans stay out of the union.
+        let mut b = GraphBuilder::new().add_edge(0, 1, 1).add_edge(1, 0, 2);
+        for i in 0..5 {
+            b = b.add_edge(1, 10 + i, 2).add_edge(20 + i, 0, 2);
+        }
+        let g = b.build();
+        let mut ws = CycleUnionWorkspace::new(g.num_vertices());
+        let window = TimeWindow::from_start(1, 10);
+        let root = edge_id(&g, 0, 1, 1);
+        assert!(check_simple(&mut ws, &g, root, window, "min"));
+        assert_eq!(ws.union_size(), 2);
+        // Max-rooted at the closing edge, the first hop 0 → 1 meets too.
+        let root = edge_id(&g, 1, 0, 2);
+        let all = CyclePredicate::pass_all();
+        let window = TimeWindow::new(0, 2);
+        assert!(check_simple_before(&mut ws, &g, root, window, &all, "max"));
+        assert_eq!(ws.union_size(), 2);
+    }
+
+    #[test]
+    fn lockstep_pass_meets_deep_after_both_sides_pass_hubs() {
+        // Root 0 → 1. The head 1 fans out to 10..=19, the tail 0 is fed by
+        // 20..=29, and the only bridges are 15 → 30 → 31 → 25 and 17 → 31.
+        // Both hubs are expanded and half their fans walked before 17 → 31
+        // meets the backward side; 30 and 15 join the union only in the
+        // backward phase after the meeting, and 50 → 31 comes from outside
+        // the forward-reachable set.
+        let mut b = GraphBuilder::new().add_edge(0, 1, 1);
+        for i in 0..10 {
+            b = b.add_edge(1, 10 + i, 2).add_edge(20 + i, 0, 2);
+        }
+        let g = b
+            .add_edge(15, 30, 3)
+            .add_edge(30, 31, 3)
+            .add_edge(31, 25, 3)
+            .add_edge(17, 31, 3)
+            .add_edge(50, 31, 3)
+            .build();
+        let mut ws = CycleUnionWorkspace::new(g.num_vertices());
+        let window = TimeWindow::from_start(1, 10);
+        let root = edge_id(&g, 0, 1, 1);
+        assert!(check_simple(&mut ws, &g, root, window, "deep"));
+        let mut members = ws.union_members().to_vec();
+        members.sort_unstable();
+        assert_eq!(members, vec![0, 1, 15, 17, 25, 30, 31]);
+        assert!(!ws.in_union(20) && !ws.in_union(50) && !ws.in_union(10));
+    }
+
+    #[test]
+    fn filters_can_remove_the_only_meeting_vertex() {
+        use crate::predicate::EdgePredicate;
+        // Root 0 → 1 at t = 10 closes w = 1 → … → u = 0. The head fans out
+        // to 10..=14 and 20..=24 fan into the tail; vertex 3 is the only
+        // bridge, entered by the cheap 12 → 3 and left by 3 → 22.
+        let mut b = GraphBuilder::new();
+        let mut edge = |src, dst, ts, amount| {
+            b.push_attr_edge(TemporalEdge::with_attrs(src, dst, ts, amount, 0));
+        };
+        edge(0, 1, 10, 100);
+        for i in 0..5 {
+            edge(1, 10 + i, 1, 100);
+            edge(20 + i, 0, 5, 100);
+        }
+        edge(12, 3, 2, 5);
+        edge(3, 22, 3, 100);
+        let g = b.build();
+        let root = edge_id(&g, 0, 1, 10);
+        let window = TimeWindow::new(0, 10);
+        let mut ws = CycleUnionWorkspace::new(g.num_vertices());
+        let all = CyclePredicate::pass_all();
+        assert!(check_simple_before(
+            &mut ws, &g, root, window, &all, "pass-all"
+        ));
+        let mut members = ws.union_members().to_vec();
+        members.sort_unstable();
+        assert_eq!(members, vec![0, 1, 3, 12, 22]);
+        // Denying 3 keeps both sides away from it.
+        let deny = CyclePredicate::pass_all().vertices(VertexFilter::deny(vec![3]));
+        assert!(!check_simple_before(
+            &mut ws, &g, root, window, &deny, "deny 3"
+        ));
+        // An amount floor drops 12 → 3: the backward side still stamps 3,
+        // but the forward side never does.
+        let floor = CyclePredicate::from(EdgePredicate::pass_all().min_amount(50));
+        assert!(!check_simple_before(
+            &mut ws, &g, root, window, &floor, "floor"
+        ));
+        assert!(!ws.in_union(3) && !ws.in_union(12) && !ws.in_union(22));
     }
 
     #[test]
