@@ -48,8 +48,6 @@ fn advance_profile(profile: &ArrivalProfile, bundle_ts: &[Timestamp]) -> Arrival
 
 struct BundledSearch<'a> {
     graph: &'a TemporalGraph,
-    metrics: &'a WorkMetrics,
-    worker: usize,
     opts: &'a TemporalCycleOptions,
     union: &'a CycleUnionWorkspace,
     root: EdgeId,
@@ -57,6 +55,9 @@ struct BundledSearch<'a> {
     t_end: Timestamp,
     on_path: FxHashSet<VertexId>,
     total: &'a AtomicU64,
+    /// Edge visits and recursive calls so far, flushed once per root.
+    visits: u64,
+    calls: u64,
 }
 
 impl BundledSearch<'_> {
@@ -75,7 +76,7 @@ impl BundledSearch<'_> {
     }
 
     fn extend(&mut self, v: VertexId, profile: &ArrivalProfile, depth: usize) {
-        self.metrics.recursive_call(self.worker);
+        self.calls += 1;
         let min_arrival = match profile.first() {
             Some(&(t, _)) => t,
             None => return,
@@ -85,7 +86,7 @@ impl BundledSearch<'_> {
         let window = TimeWindow::new(min_arrival.saturating_add(1), self.t_end);
         let mut successors: Vec<VertexId> = Vec::new();
         for entry in self.graph.out_edges_in_window(v, window) {
-            self.metrics.edge_visit(self.worker);
+            self.visits += 1;
             if entry.edge <= self.root {
                 continue;
             }
@@ -152,8 +153,6 @@ pub fn bundled_temporal_count(
             on_path.insert(e0.dst);
             let mut search = BundledSearch {
                 graph,
-                metrics: &metrics,
-                worker: 0,
                 opts,
                 union: &scratch.union,
                 root,
@@ -161,9 +160,12 @@ pub fn bundled_temporal_count(
                 t_end: e0.ts.saturating_add(opts.window_delta),
                 on_path,
                 total: &total,
+                visits: 0,
+                calls: 0,
             };
             let profile = vec![(e0.ts, 1u64)];
             search.extend(e0.dst, &profile, 1);
+            metrics.add_search_work(0, search.visits, search.calls);
         }
     });
     let mut stats = stats;

@@ -586,7 +586,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Shared<'a, G, S> {
                 metrics.vertex_prune(worker);
                 return None;
             }
-            if buf.on_path.contains(&w)
+            if buf.on_path.contains(w)
                 || !union.in_union(w)
                 || (temporal && !union.can_close_after(w, entry.ts))
                 || !len_ok(buf.path_edges.len() + 3)

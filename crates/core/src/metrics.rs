@@ -6,6 +6,11 @@
 //! visits, recursive calls / tasks, copy-on-steal events and unblock
 //! operations into per-worker, cache-line-padded atomic counters; the
 //! aggregate is returned alongside the cycle count in a [`RunStats`].
+//!
+//! No edge pays an atomic update: a search counts its edge visits and
+//! recursive calls in plain locals and flushes them into its worker's
+//! counters once per search (or, for Read-Tarjan, once per call), on every
+//! return path including an early stop.
 
 use crate::engine::{Algorithm, Granularity};
 use crossbeam_utils::CachePadded;
@@ -58,20 +63,26 @@ impl WorkMetrics {
         &self.workers[worker.min(self.workers.len() - 1)]
     }
 
-    /// Records one edge visit (the paper's work metric).
-    #[inline]
-    pub fn edge_visit(&self, worker: usize) {
-        self.slot(worker)
-            .edge_visits
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` edge visits at once.
+    /// Records `n` edge visits (the paper's work metric) at once.
     #[inline]
     pub fn edge_visits(&self, worker: usize, n: u64) {
         self.slot(worker)
             .edge_visits
             .fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Flushes the edge visits and recursive calls one search or call
+    /// counted in locals, skipping the updates that would add nothing.
+    #[inline]
+    pub(crate) fn add_search_work(&self, worker: usize, edge_visits: u64, recursive_calls: u64) {
+        let slot = self.slot(worker);
+        if edge_visits > 0 {
+            slot.edge_visits.fetch_add(edge_visits, Ordering::Relaxed);
+        }
+        if recursive_calls > 0 {
+            slot.recursive_calls
+                .fetch_add(recursive_calls, Ordering::Relaxed);
+        }
     }
 
     /// Records one recursive call / task execution.
@@ -451,10 +462,11 @@ mod tests {
     #[test]
     fn counters_accumulate_per_worker() {
         let m = WorkMetrics::new(3);
-        m.edge_visit(0);
+        m.edge_visits(0, 1);
         m.edge_visits(1, 10);
-        m.edge_visit(2);
+        m.edge_visits(2, 1);
         m.recursive_call(1);
+        m.add_search_work(1, 0, 2);
         m.copy_event(2);
         m.steal_event(2);
         m.unblock_op(0);
@@ -472,7 +484,7 @@ mod tests {
         assert_eq!(s.total_aggregate_prunes(), 2);
         assert_eq!(s.total_positional_prunes(), 1);
         assert_eq!(s.total_vertex_prunes(), 1);
-        assert_eq!(s.total_recursive_calls(), 1);
+        assert_eq!(s.total_recursive_calls(), 3);
         assert_eq!(s.total_copies(), 1);
         assert_eq!(s.total_steals(), 1);
         assert_eq!(s.total_unblocks(), 1);
@@ -484,14 +496,14 @@ mod tests {
     #[test]
     fn out_of_range_worker_is_clamped() {
         let m = WorkMetrics::new(2);
-        m.edge_visit(99);
+        m.edge_visits(99, 1);
         assert_eq!(m.snapshot().workers[1].edge_visits, 1);
     }
 
     #[test]
     fn zero_worker_request_clamps_to_one() {
         let m = WorkMetrics::new(0);
-        m.edge_visit(0);
+        m.edge_visits(0, 1);
         assert_eq!(m.snapshot().total_edge_visits(), 1);
     }
 

@@ -117,7 +117,7 @@ impl SearchCore {
     /// Pushes the frame of `v`: its admissible branches for this rooted
     /// search against `union`, recording one edge visit per admissible
     /// candidate (the same accounting as the sequential Johnson
-    /// implementation).
+    /// implementation), counted locally and flushed once per frame.
     fn push_frame(
         &mut self,
         graph: &TemporalGraph,
@@ -127,15 +127,17 @@ impl SearchCore {
         worker: usize,
     ) {
         let mut branches = Vec::new();
+        let mut visits = 0;
         for &entry in graph.out_edges_in_window(v, self.window) {
             if entry.edge <= self.root {
                 continue;
             }
-            metrics.edge_visit(worker);
+            visits += 1;
             if entry.neighbor == self.v0 || union.in_union(entry.neighbor) {
                 branches.push((entry.edge, entry.neighbor));
             }
         }
+        metrics.add_search_work(worker, visits, 0);
         self.unclaimed += branches.len();
         self.frames.push(Frame {
             vertex: v,

@@ -112,22 +112,23 @@ impl<S: CycleSink> Shared<'_, S> {
     ) {
         let e0 = self.graph.edge(root);
         let window = TimeWindow::from_start(e0.ts, self.opts.effective_delta());
+        let RootScratch { union, rt, .. } = &mut state.scratch;
         if state.union_root != Some(root) {
             state.union_root = Some(root);
-            let nonempty = state.scratch.union.compute_simple(self.graph, root, window);
+            let nonempty = union.compute_simple(self.graph, root, window);
             debug_assert!(nonempty, "a handed-off root has a non-empty union");
         }
-        let rt = RtContext {
+        let rt_ctx = RtContext {
             graph: self.graph,
             sink: self.sink,
             metrics: self.metrics,
             opts: self.opts,
-            union: &state.scratch.union,
+            union,
             root,
             v0: e0.src,
             window,
         };
-        run_calls(&rt, ctx.worker_id(), call, |pending| {
+        run_calls(&rt_ctx, rt, ctx.worker_id(), call, |pending| {
             self.hand_off(root, pending, scope, ctx)
         });
     }

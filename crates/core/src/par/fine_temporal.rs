@@ -32,7 +32,7 @@ use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::TemporalCycleOptions;
 use crate::seq::RootScratch;
-use crate::util::FxHashSet;
+use crate::util::{FxHashSet, VertexMarks};
 use crate::{Algorithm, Granularity};
 use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp, VertexId};
@@ -155,6 +155,7 @@ impl<'g, S: CycleSink> Shared<'g, S> {
         let worker = ctx.worker_id();
         let (graph, union) = (self.graph, rooted.union);
         let split = Some((scope, ctx));
+        let mut probe_visits = 0;
         split::search(self, buf, rooted.root, worker, split, |buf, _, entry| {
             let w = entry.neighbor;
             if w == rooted.v0 {
@@ -165,29 +166,38 @@ impl<'g, S: CycleSink> Shared<'g, S> {
                 }
                 return None;
             }
-            if buf.on_path.contains(&w)
+            if buf.on_path.contains(w)
                 || !union.in_union(w)
                 || !union.can_close_after(w, entry.ts)
                 || !self.opts.len_ok(buf.path_edges.len() + 2)
                 || (self.style == TemporalStyle::ReadTarjan
-                    && !self.has_completion(&buf.on_path, probe, worker, rooted, w, entry.ts))
+                    && !self.has_completion(
+                        &buf.on_path,
+                        probe,
+                        &mut probe_visits,
+                        rooted,
+                        w,
+                        entry.ts,
+                    ))
             {
                 return None;
             }
             let window = TimeWindow::new(entry.ts.saturating_add(1), rooted.t_end);
             Some(Frame::new(graph.out_edges_in_window(w, window)))
         });
+        self.metrics.add_search_work(worker, probe_visits, 0);
     }
 
     /// Depth-first probe: does a temporal path from `start` (reached at
     /// `arrival`) back to the root tail exist that avoids the path and
     /// `start` itself? Uses the static closing-time bound for pruning;
-    /// visited dead ends are memoised for the duration of the probe.
+    /// visited dead ends are memoised for the duration of the probe. Adds
+    /// its edge visits to `visits`.
     fn has_completion(
         &self,
-        on_path: &FxHashSet<VertexId>,
+        on_path: &VertexMarks,
         probe: &mut Probe,
-        worker: usize,
+        visits: &mut u64,
         rooted: &Rooted<'_>,
         start: VertexId,
         arrival: Timestamp,
@@ -200,13 +210,13 @@ impl<'g, S: CycleSink> Shared<'g, S> {
         while let Some((v, t)) = stack.pop() {
             let window = TimeWindow::new(t.saturating_add(1), rooted.t_end);
             for &entry in self.graph.out_edges_in_window(v, window) {
-                self.metrics.edge_visit(worker);
+                *visits += 1;
                 let w = entry.neighbor;
                 if w == rooted.v0 {
                     return true;
                 }
                 if w == start
-                    || on_path.contains(&w)
+                    || on_path.contains(w)
                     || !rooted.union.in_union(w)
                     || !rooted.union.can_close_after(w, entry.ts)
                 {
@@ -292,11 +302,14 @@ fn run_fine_temporal<S: CycleSink>(
         metrics: &metrics,
         opts,
         style,
-        workers: Workers::new((0..threads).map(|_| WorkerState {
-            buf: Buffers::default(),
-            scratch: RootScratch::new(graph.num_vertices()),
-            union_root: None,
-            probe: Probe::default(),
+        workers: Workers::new((0..threads).map(|_| {
+            let mut scratch = RootScratch::new(graph.num_vertices());
+            WorkerState {
+                buf: std::mem::take(&mut scratch.search).recycle(),
+                scratch,
+                union_root: None,
+                probe: Probe::default(),
+            }
         })),
     };
 

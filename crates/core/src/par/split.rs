@@ -21,7 +21,7 @@
 //! worker's next descent.
 
 use crate::metrics::WorkMetrics;
-use crate::util::FxHashSet;
+use crate::util::VertexMarks;
 use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 use pce_graph::{AdjEntry, Amount, EdgeId, VertexId};
@@ -53,6 +53,7 @@ impl<'g> Frame<'g> {
 }
 
 /// The path of the search a worker runs and one frame per recursion level.
+/// The owner sizes the path's vertex marks, like its cycle-union workspace.
 #[derive(Debug, Default)]
 pub(crate) struct Buffers<'g> {
     /// Path length when the search was loaded: `frames[i]` extends a path of
@@ -62,21 +63,30 @@ pub(crate) struct Buffers<'g> {
     frames: Vec<Frame<'g>>,
     pub(crate) path: Vec<VertexId>,
     pub(crate) path_edges: Vec<EdgeId>,
-    pub(crate) on_path: FxHashSet<VertexId>,
+    /// The vertices on `path`, and any the driver marks besides.
+    pub(crate) on_path: VertexMarks,
 }
 
 impl<'g> Buffers<'g> {
-    /// Loads a search: the path so far and the frame of its tip.
-    pub(crate) fn load(&mut self, path: &[VertexId], path_edges: &[EdgeId], frame: Frame<'g>) {
+    /// Starts a path without frames: a fresh epoch of marks holding exactly
+    /// the vertices of `path`.
+    pub(crate) fn start(&mut self, path: &[VertexId], path_edges: &[EdgeId]) {
         self.base = path.len();
         self.frames.clear();
-        self.frames.push(frame);
         self.path.clear();
         self.path.extend_from_slice(path);
         self.path_edges.clear();
         self.path_edges.extend_from_slice(path_edges);
         self.on_path.clear();
-        self.on_path.extend(path.iter().copied());
+        for &v in path {
+            self.on_path.insert(v);
+        }
+    }
+
+    /// Loads a search: the path so far and the frame of its tip.
+    pub(crate) fn load(&mut self, path: &[VertexId], path_edges: &[EdgeId], frame: Frame<'g>) {
+        self.start(path, path_edges);
+        self.frames.push(frame);
     }
 
     /// The same buffers without frames, for a graph borrowed for another
@@ -201,7 +211,9 @@ pub(crate) trait Driver<'g>: Sync {
 }
 
 /// Runs the search loaded in `buf` (rooted at `root`) depth-first, in the
-/// sequential order, and winds down early once the sink stops the run.
+/// sequential order, and winds down early once the sink stops the run. Edge
+/// visits and descents are counted in locals and flushed into `worker`'s
+/// counters once, when the search returns.
 ///
 /// For each scanned edge `step(buf, frame, entry)` decides: it reports the
 /// cycle `entry` closes, or returns the frame of `entry.neighbor`'s
@@ -218,7 +230,7 @@ pub(crate) fn search<'g, 'scope, D: Driver<'g>>(
 ) where
     'g: 'scope,
 {
-    let metrics = driver.metrics();
+    let (mut visits, mut calls) = (0, 0);
     while let Some(frame) = buf.frames.last_mut() {
         let Some((&entry, rest)) = frame.edges.split_first() else {
             buf.frames.pop();
@@ -229,16 +241,16 @@ pub(crate) fn search<'g, 'scope, D: Driver<'g>>(
                     .pop()
                     .expect("a deeper frame has its vertex on the path");
                 buf.path_edges.pop();
-                buf.on_path.remove(&v);
+                buf.on_path.remove(v);
             }
             continue;
         };
         frame.edges = rest;
         let frame = *frame;
         if driver.stopped() {
-            return;
+            break;
         }
-        metrics.edge_visit(worker);
+        visits += 1;
         let Some(child) = step(buf, &frame, entry) else {
             continue;
         };
@@ -247,12 +259,13 @@ pub(crate) fn search<'g, 'scope, D: Driver<'g>>(
                 split_shallowest(driver, buf, root, scope, ctx);
             }
         }
-        metrics.recursive_call(worker);
+        calls += 1;
         buf.on_path.insert(entry.neighbor);
         buf.path.push(entry.neighbor);
         buf.path_edges.push(entry.edge);
         buf.frames.push(child);
     }
+    driver.metrics().add_search_work(worker, visits, calls);
 }
 
 /// Hands the first half of the shallowest frame that still has unscanned

@@ -46,13 +46,16 @@ struct JohnsonSearch<'a, S> {
     on_path: FxHashSet<VertexId>,
     blocked: FxHashSet<VertexId>,
     blist: FxHashMap<VertexId, FxHashSet<VertexId>>,
+    /// Edge visits and recursive calls so far, flushed once per root.
+    visits: u64,
+    calls: u64,
 }
 
 impl<S: CycleSink> JohnsonSearch<'_, S> {
     /// The recursive `CIRCUIT(v)` procedure. Returns `true` if at least one
     /// cycle was found in the subtree rooted at `v`.
     fn circuit(&mut self, v: VertexId) -> bool {
-        self.metrics.recursive_call(self.worker);
+        self.calls += 1;
         let mut found = false;
         let graph = self.graph;
         for &entry in graph.out_edges_in_window(v, self.window) {
@@ -62,7 +65,7 @@ impl<S: CycleSink> JohnsonSearch<'_, S> {
             if entry.edge <= self.root {
                 continue;
             }
-            self.metrics.edge_visit(self.worker);
+            self.visits += 1;
             let w = entry.neighbor;
             if w == self.v0 {
                 if self.opts.len_ok(self.path_edges.len() + 1) {
@@ -172,8 +175,11 @@ pub(crate) fn johnson_root<S: CycleSink>(
         on_path,
         blocked,
         blist: fx_map(),
+        visits: 0,
+        calls: 0,
     };
     search.circuit(e0.dst);
+    metrics.add_search_work(worker, search.visits, search.calls);
 }
 
 /// Sequential Johnson enumeration of all (window-constrained) simple cycles.

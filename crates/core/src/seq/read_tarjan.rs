@@ -38,7 +38,7 @@ use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::SimpleCycleOptions;
 use crate::seq::{handle_self_loop_root, timed_run, RootScratch};
-use crate::util::{fx_set, FxHashSet};
+use crate::util::VertexMarks;
 use crate::{Algorithm, Granularity};
 use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{AdjEntry, EdgeId, TemporalGraph, TimeWindow, VertexId};
@@ -59,16 +59,68 @@ pub(crate) struct Extension {
 pub(crate) struct RtCallState {
     /// Current path vertices (starting with `v0`).
     pub path: Vec<VertexId>,
-    /// Edges of the current path (one fewer than `path`... exactly
-    /// `path.len() - 1` entries, the root edge first).
+    /// Edges of the current path: `path.len() - 1` entries, the root edge
+    /// first.
     pub path_edges: Vec<EdgeId>,
-    /// Membership set for `path`.
-    pub on_path: FxHashSet<VertexId>,
     /// The witness extension to walk.
     pub extension: Extension,
     /// Vertices that provably cannot reach `v0` while avoiding the current
-    /// path; private to this call (copied, never merged back).
-    pub blocked: FxHashSet<VertexId>,
+    /// path; private to this call (copied, never merged back). Each vertex
+    /// appears once: a probe never visits a vertex the call avoids.
+    pub blocked: Vec<VertexId>,
+}
+
+/// A worker's marks for the Read-Tarjan calls it runs, one call at a time:
+/// the running call's path and blocked vertices, and the buffers of its
+/// probes, so that neither a call nor a probe allocates or hashes.
+#[derive(Debug, Default)]
+pub(crate) struct RtMarks {
+    /// The running call's path and blocked vertices: what its probes avoid.
+    /// Both only grow during a call, so one set serves both.
+    avoid: VertexMarks,
+    /// The vertices the running probe visited.
+    visited: VertexMarks,
+    /// The running probe's DFS stack.
+    stack: Vec<ProbeFrame>,
+    /// The running probe's visited vertices, in visit order.
+    visited_list: Vec<VertexId>,
+}
+
+impl RtMarks {
+    pub(crate) fn ensure_vertices(&mut self, n: usize) {
+        self.avoid.ensure_vertices(n);
+        self.visited.ensure_vertices(n);
+    }
+
+    /// Starts a call: exactly `path` and `blocked` are avoided.
+    fn start_call(&mut self, path: &[VertexId], blocked: &[VertexId]) {
+        self.avoid.clear();
+        for &v in path.iter().chain(blocked) {
+            self.avoid.insert(v);
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn skip_to_epoch_wrap(&mut self, stale: u32) {
+        self.avoid.skip_to_epoch_wrap(stale);
+        self.visited.skip_to_epoch_wrap(stale);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn epochs(&self) -> [u32; 2] {
+        [self.avoid.epoch(), self.visited.epoch()]
+    }
+}
+
+/// One level of a probe's DFS: a vertex, the edge that entered it, and the
+/// unscanned part of its out-edges in the root's window, as indices into
+/// its whole out-adjacency (sliced once, when the level is pushed).
+#[derive(Debug, Clone, Copy)]
+struct ProbeFrame {
+    vertex: VertexId,
+    edge: EdgeId,
+    next: usize,
+    end: usize,
 }
 
 /// Immutable per-root context shared by all recursive calls of one rooted
@@ -94,20 +146,34 @@ impl<S: CycleSink> RtContext<'_, S> {
             && (entry.neighbor == self.v0 || self.union.in_union(entry.neighbor))
     }
 
+    /// The probe level of `vertex`, entered by `edge`.
+    fn probe_frame(&self, vertex: VertexId, edge: EdgeId) -> ProbeFrame {
+        let out = self.graph.out_edges(vertex);
+        let next = out.partition_point(|a| a.ts < self.window.start);
+        let end = next + out[next..].partition_point(|a| a.ts <= self.window.end);
+        ProbeFrame {
+            vertex,
+            edge,
+            next,
+            end,
+        }
+    }
+
     /// Depth-first search for a path extension that starts with the edge
     /// `start_edge → start_vertex` (leaving the current frontier) and ends at
-    /// `v0`, avoiding `on_path` and `blocked`.
+    /// `v0`, avoiding what `marks` holds for the running call (its path and
+    /// `blocked`). Adds its edge visits to `visits`.
     ///
     /// `budget` bounds the number of edges the extension may use (`None` =
     /// unbounded). On complete failure every vertex visited by the DFS is
-    /// added to `blocked`.
+    /// added to `blocked` and to the call's avoid marks.
     pub(crate) fn find_extension(
         &self,
-        worker: usize,
+        marks: &mut RtMarks,
+        visits: &mut u64,
         start_edge: EdgeId,
         start_vertex: VertexId,
-        on_path: &FxHashSet<VertexId>,
-        blocked: &mut FxHashSet<VertexId>,
+        blocked: &mut Vec<VertexId>,
         budget: Option<usize>,
     ) -> Option<Extension> {
         if let Some(b) = budget {
@@ -115,16 +181,19 @@ impl<S: CycleSink> RtContext<'_, S> {
                 return None;
             }
         }
-        self.metrics.edge_visit(worker);
+        *visits += 1;
         if start_vertex == self.v0 {
             return Some(Extension {
                 steps: vec![(start_edge, start_vertex)],
             });
         }
-        if on_path.contains(&start_vertex)
-            || blocked.contains(&start_vertex)
-            || !self.union.in_union(start_vertex)
-        {
+        let RtMarks {
+            avoid,
+            visited,
+            stack,
+            visited_list,
+        } = marks;
+        if avoid.contains(start_vertex) || !self.union.in_union(start_vertex) {
             return None;
         }
         if let Some(b) = budget {
@@ -133,30 +202,30 @@ impl<S: CycleSink> RtContext<'_, S> {
             }
         }
 
-        // Iterative DFS; each stack frame records the vertex, the edge used to
-        // enter it and the index of the next outgoing edge to try.
-        let mut stack: Vec<(VertexId, EdgeId, usize)> = vec![(start_vertex, start_edge, 0)];
-        let mut visited: FxHashSet<VertexId> = fx_set();
+        stack.clear();
+        stack.push(self.probe_frame(start_vertex, start_edge));
+        visited.clear();
         visited.insert(start_vertex);
+        visited_list.clear();
+        visited_list.push(start_vertex);
 
         loop {
             if self.sink.stopped() {
                 break;
             }
-            let Some(&(v, _, next_idx)) = stack.last() else {
+            let Some(top) = stack.last_mut() else {
                 break;
             };
-            let out = self.graph.out_edges_in_window(v, self.window);
-            if next_idx >= out.len() {
+            if top.next == top.end {
                 stack.pop();
                 continue;
             }
-            stack.last_mut().expect("frame just read").2 += 1;
-            let entry = out[next_idx];
+            let entry = self.graph.out_edges(top.vertex)[top.next];
+            top.next += 1;
             if !self.admissible(&entry) {
                 continue;
             }
-            self.metrics.edge_visit(worker);
+            *visits += 1;
             let w = entry.neighbor;
             if w == self.v0 {
                 if let Some(b) = budget {
@@ -165,11 +234,11 @@ impl<S: CycleSink> RtContext<'_, S> {
                     }
                 }
                 let mut steps: Vec<(EdgeId, VertexId)> =
-                    stack.iter().map(|&(sv, se, _)| (se, sv)).collect();
+                    stack.iter().map(|f| (f.edge, f.vertex)).collect();
                 steps.push((entry.edge, self.v0));
                 return Some(Extension { steps });
             }
-            if visited.contains(&w) || on_path.contains(&w) || blocked.contains(&w) {
+            if visited.contains(w) || avoid.contains(w) {
                 continue;
             }
             if let Some(b) = budget {
@@ -178,30 +247,49 @@ impl<S: CycleSink> RtContext<'_, S> {
                 }
             }
             visited.insert(w);
-            stack.push((w, entry.edge, 0));
+            visited_list.push(w);
+            stack.push(self.probe_frame(w, entry.edge));
         }
 
         // Complete failure: nothing visited can reach v0 while avoiding the
         // current path, now or later in this call (the avoided sets only
         // grow), so block it all.
-        for v in visited {
-            blocked.insert(v);
+        for &v in visited_list.iter() {
+            blocked.push(v);
+            avoid.insert(v);
         }
         None
     }
 }
 
-/// One recursive Read-Tarjan call. Cycles are reported to the context's sink;
-/// every child call produced is handed to `spawn_child`, which [`run_calls`]
-/// pushes onto its stack of pending calls.
+/// One recursive Read-Tarjan call on this worker's `marks`. Cycles are
+/// reported to the context's sink; every child call produced is handed to
+/// `spawn_child`, which [`run_calls`] pushes onto its stack of pending calls.
+/// The call's edge visits are counted locally and flushed once, when it
+/// returns.
 pub(crate) fn rt_call<S: CycleSink>(
     ctx: &RtContext<'_, S>,
+    marks: &mut RtMarks,
     worker: usize,
     mut state: RtCallState,
     spawn_child: &mut impl FnMut(RtCallState),
 ) {
-    ctx.metrics.recursive_call(worker);
+    let mut visits = 0;
+    walk_extension(ctx, marks, worker, &mut visits, &mut state, spawn_child);
+    ctx.metrics.add_search_work(worker, visits, 1);
+}
 
+/// The body of [`rt_call`]: walks the call's witness extension, probing
+/// every other admissible edge at each step.
+fn walk_extension<S: CycleSink>(
+    ctx: &RtContext<'_, S>,
+    marks: &mut RtMarks,
+    worker: usize,
+    visits: &mut u64,
+    state: &mut RtCallState,
+    spawn_child: &mut impl FnMut(RtCallState),
+) {
+    marks.start_call(&state.path, &state.blocked);
     for step_idx in 0..state.extension.steps.len() {
         if ctx.sink.stopped() {
             return;
@@ -219,7 +307,7 @@ pub(crate) fn rt_call<S: CycleSink>(
             if entry.edge == ext_edge || !ctx.admissible(&entry) {
                 continue;
             }
-            ctx.metrics.edge_visit(worker);
+            *visits += 1;
             let budget = ctx
                 .opts
                 .max_len
@@ -228,10 +316,10 @@ pub(crate) fn rt_call<S: CycleSink>(
                 break;
             }
             let Some(alt) = ctx.find_extension(
-                worker,
+                marks,
+                visits,
                 entry.edge,
                 entry.neighbor,
-                &state.on_path,
                 &mut state.blocked,
                 budget,
             ) else {
@@ -253,14 +341,11 @@ pub(crate) fn rt_call<S: CycleSink>(
                 let (first_edge, first_vertex) = alt.steps[0];
                 let mut child_path = state.path.clone();
                 let mut child_edges = state.path_edges.clone();
-                let mut child_on_path = state.on_path.clone();
                 child_path.push(first_vertex);
                 child_edges.push(first_edge);
-                child_on_path.insert(first_vertex);
                 spawn_child(RtCallState {
                     path: child_path,
                     path_edges: child_edges,
-                    on_path: child_on_path,
                     extension: Extension {
                         steps: alt.steps[1..].to_vec(),
                     },
@@ -278,36 +363,35 @@ pub(crate) fn rt_call<S: CycleSink>(
             }
         } else {
             state.path.push(ext_vertex);
-            state.on_path.insert(ext_vertex);
+            marks.avoid.insert(ext_vertex);
         }
     }
 }
-
 /// Builds the initial call state for the search rooted at `root`, or `None`
 /// when no cycle passes through the root edge. Shared by the sequential and
 /// parallel drivers.
 pub(crate) fn rt_initial_state<S: CycleSink>(
     ctx: &RtContext<'_, S>,
+    marks: &mut RtMarks,
     worker: usize,
     root: EdgeId,
 ) -> Option<RtCallState> {
     let e0 = ctx.graph.edge(root);
-    let mut on_path = fx_set();
-    on_path.insert(e0.src);
-    on_path.insert(e0.dst);
-    let mut blocked = fx_set();
+    marks.start_call(&[e0.src, e0.dst], &[]);
+    let mut blocked = Vec::new();
+    let mut visits = 0;
     let mut first: Option<Extension> = None;
     for &entry in ctx.graph.out_edges_in_window(e0.dst, ctx.window) {
         if !ctx.admissible(&entry) {
             continue;
         }
-        ctx.metrics.edge_visit(worker);
+        visits += 1;
         let budget = ctx.opts.max_len.map(|m| m.saturating_sub(1));
         if let Some(ext) = ctx.find_extension(
-            worker,
+            marks,
+            &mut visits,
             entry.edge,
             entry.neighbor,
-            &on_path,
             &mut blocked,
             budget,
         ) {
@@ -315,10 +399,10 @@ pub(crate) fn rt_initial_state<S: CycleSink>(
             break;
         }
     }
+    ctx.metrics.add_search_work(worker, visits, 0);
     first.map(|extension| RtCallState {
         path: vec![e0.src, e0.dst],
         path_edges: vec![root],
-        on_path,
         extension,
         blocked,
     })
@@ -342,9 +426,8 @@ pub(crate) fn read_tarjan_root<S: CycleSink>(
     }
     let e0 = graph.edge(root);
     let window = TimeWindow::from_start(e0.ts, opts.effective_delta());
-    if !metrics.counted_union_pass(worker, &mut scratch.union, |u| {
-        u.compute_simple(graph, root, window)
-    }) {
+    let RootScratch { union, rt, .. } = scratch;
+    if !metrics.counted_union_pass(worker, union, |u| u.compute_simple(graph, root, window)) {
         return;
     }
     let ctx = RtContext {
@@ -352,25 +435,26 @@ pub(crate) fn read_tarjan_root<S: CycleSink>(
         sink,
         metrics,
         opts,
-        union: &scratch.union,
+        union,
         root,
         v0: e0.src,
         window,
     };
-    let Some(initial) = rt_initial_state(&ctx, worker, root) else {
+    let Some(initial) = rt_initial_state(&ctx, rt, worker, root) else {
         return;
     };
-    run_calls(&ctx, worker, initial, hand_off);
+    run_calls(&ctx, rt, worker, initial, hand_off);
 }
 
-/// Executes an `rt_call` and every child it spawns, depth-first from an
-/// explicit stack of pending calls so that deeply nested spawn chains cannot
-/// overflow the call stack. After each child is pushed, `hand_off` may take
-/// calls off the front of the stack to run elsewhere: the oldest pending
-/// call is the shallowest, with the largest subtree. Sequential and
-/// coarse-grained runs hand nothing off.
+/// Executes an `rt_call` and every child it spawns on this worker's `marks`,
+/// depth-first from an explicit stack of pending calls so that deeply nested
+/// spawn chains cannot overflow the call stack. After each child is pushed,
+/// `hand_off` may take calls off the front of the stack to run elsewhere:
+/// the oldest pending call is the shallowest, with the largest subtree.
+/// Sequential and coarse-grained runs hand nothing off.
 pub(crate) fn run_calls<S: CycleSink>(
     ctx: &RtContext<'_, S>,
+    marks: &mut RtMarks,
     worker: usize,
     initial: RtCallState,
     mut hand_off: impl FnMut(&mut VecDeque<RtCallState>),
@@ -380,7 +464,7 @@ pub(crate) fn run_calls<S: CycleSink>(
         if ctx.sink.stopped() {
             return;
         }
-        rt_call(ctx, worker, next, &mut |child| {
+        rt_call(ctx, marks, worker, next, &mut |child| {
             pending.push_back(child);
             hand_off(&mut pending);
         });

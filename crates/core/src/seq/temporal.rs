@@ -28,8 +28,8 @@
 use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::TemporalCycleOptions;
+use crate::par::split::Buffers;
 use crate::seq::{timed_run, RootScratch};
-use crate::util::{fx_set, FxHashSet};
 use crate::{Algorithm, Granularity};
 use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp, VertexId};
@@ -37,15 +37,15 @@ use pce_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp, VertexId};
 struct TemporalSearch<'a, S> {
     graph: &'a TemporalGraph,
     sink: &'a HaltingSink<'a, S>,
-    metrics: &'a WorkMetrics,
-    worker: usize,
     opts: &'a TemporalCycleOptions,
     union: &'a CycleUnionWorkspace,
     v0: VertexId,
     t_end: Timestamp,
-    path: Vec<VertexId>,
-    path_edges: Vec<EdgeId>,
-    on_path: FxHashSet<VertexId>,
+    /// The path, its edges and its marks, in the worker's scratch.
+    buf: &'a mut Buffers<'static>,
+    /// Edge visits and recursive calls so far, flushed once per root.
+    visits: u64,
+    calls: u64,
 }
 
 impl<S: CycleSink> TemporalSearch<'_, S> {
@@ -53,37 +53,39 @@ impl<S: CycleSink> TemporalSearch<'_, S> {
     /// timestamp of the last edge on the path, so the next edge must be
     /// strictly later.
     fn extend(&mut self, v: VertexId, arrival: Timestamp) {
-        self.metrics.recursive_call(self.worker);
+        self.calls += 1;
         let graph = self.graph;
         let window = TimeWindow::new(arrival.saturating_add(1), self.t_end);
         for &entry in graph.out_edges_in_window(v, window) {
             if self.sink.stopped() {
                 return;
             }
-            self.metrics.edge_visit(self.worker);
+            self.visits += 1;
             let w = entry.neighbor;
+            let buf = &mut *self.buf;
             if w == self.v0 {
-                if self.opts.len_ok(self.path_edges.len() + 1) {
-                    self.path_edges.push(entry.edge);
-                    self.sink.push(&self.path, &self.path_edges);
-                    self.path_edges.pop();
+                if self.opts.len_ok(buf.path_edges.len() + 1) {
+                    buf.path_edges.push(entry.edge);
+                    self.sink.push(&buf.path, &buf.path_edges);
+                    buf.path_edges.pop();
                 }
                 continue;
             }
-            if self.on_path.contains(&w)
+            if buf.on_path.contains(w)
                 || !self.union.in_union(w)
                 || !self.union.can_close_after(w, entry.ts)
-                || !self.opts.len_ok(self.path_edges.len() + 2)
+                || !self.opts.len_ok(buf.path_edges.len() + 2)
             {
                 continue;
             }
-            self.path.push(w);
-            self.path_edges.push(entry.edge);
-            self.on_path.insert(w);
+            buf.path.push(w);
+            buf.path_edges.push(entry.edge);
+            buf.on_path.insert(w);
             self.extend(w, entry.ts);
-            self.on_path.remove(&w);
-            self.path_edges.pop();
-            self.path.pop();
+            let buf = &mut *self.buf;
+            buf.on_path.remove(w);
+            buf.path_edges.pop();
+            buf.path.pop();
         }
     }
 }
@@ -104,28 +106,26 @@ pub(crate) fn temporal_root<S: CycleSink>(
         // reported, matching the simple-cycle default.
         return;
     }
-    if !metrics.counted_union_pass(worker, &mut scratch.union, |u| {
+    let RootScratch { union, search, .. } = scratch;
+    if !metrics.counted_union_pass(worker, union, |u| {
         u.compute_temporal(graph, root, opts.window_delta)
     }) {
         return;
     }
-    let mut on_path = fx_set();
-    on_path.insert(e0.src);
-    on_path.insert(e0.dst);
+    search.start(&[e0.src, e0.dst], &[root]);
     let mut search = TemporalSearch {
         graph,
         sink,
-        metrics,
-        worker,
         opts,
-        union: &scratch.union,
+        union,
         v0: e0.src,
         t_end: e0.ts.saturating_add(opts.window_delta),
-        path: vec![e0.src, e0.dst],
-        path_edges: vec![root],
-        on_path,
+        buf: search,
+        visits: 0,
+        calls: 0,
     };
     search.extend(e0.dst, e0.ts);
+    metrics.add_search_work(worker, search.visits, search.calls);
 }
 
 /// Sequential temporal-cycle enumeration using the scalable per-root

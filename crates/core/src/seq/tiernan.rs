@@ -19,8 +19,6 @@ use pce_graph::{EdgeId, TemporalGraph, TimeWindow, VertexId};
 struct TiernanSearch<'a, S> {
     graph: &'a TemporalGraph,
     sink: &'a HaltingSink<'a, S>,
-    metrics: &'a WorkMetrics,
-    worker: usize,
     opts: &'a SimpleCycleOptions,
     root: EdgeId,
     v0: VertexId,
@@ -28,6 +26,8 @@ struct TiernanSearch<'a, S> {
     path: Vec<VertexId>,
     path_edges: Vec<EdgeId>,
     on_path: FxHashSet<VertexId>,
+    /// Edge visits so far, flushed once per root.
+    visits: u64,
 }
 
 impl<S: CycleSink> TiernanSearch<'_, S> {
@@ -39,7 +39,7 @@ impl<S: CycleSink> TiernanSearch<'_, S> {
             if entry.edge <= self.root {
                 continue;
             }
-            self.metrics.edge_visit(self.worker);
+            self.visits += 1;
             let w = entry.neighbor;
             if w == self.v0 {
                 if self.opts.len_ok(self.path_edges.len() + 1) {
@@ -84,8 +84,6 @@ pub(crate) fn tiernan_root<S: CycleSink>(
     let mut search = TiernanSearch {
         graph,
         sink,
-        metrics,
-        worker,
         opts,
         root,
         v0: e0.src,
@@ -93,8 +91,10 @@ pub(crate) fn tiernan_root<S: CycleSink>(
         path: vec![e0.src, e0.dst],
         path_edges: vec![root],
         on_path,
+        visits: 0,
     };
     search.extend(e0.dst);
+    metrics.add_search_work(worker, search.visits, 0);
 }
 
 /// Sequential Tiernan enumeration of all (window-constrained) simple cycles.

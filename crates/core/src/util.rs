@@ -1,14 +1,94 @@
-//! Small utilities: a fast, non-cryptographic hasher for vertex keys and the
-//! hash-set/map aliases built on it.
+//! Small utilities: epoch-stamped vertex marks for the search hot loops, and
+//! a fast, non-cryptographic hasher for vertex keys with the hash-set/map
+//! aliases built on it.
 //!
-//! The enumeration algorithms do one or two hash lookups per visited edge
-//! (`on_path`, `blocked`), so the default SipHash hasher of the standard
-//! library would dominate the profile. We use the FxHash mixing function
-//! (the one rustc uses) re-implemented here in a few lines rather than adding
-//! an external dependency.
+//! A search tests path membership once or twice per visited edge, so the
+//! in-place searches (the split skeleton, Read-Tarjan and the temporal DFS)
+//! keep their path and blocked sets as `VertexMarks`: one array read per
+//! test, and clearing costs one epoch bump. The hash sets remain where a
+//! search keeps per-vertex lists (Johnson's `Blist`) or copies its sets on a
+//! steal. They use the FxHash mixing function (the one rustc uses)
+//! re-implemented here in a few lines rather than adding an external
+//! dependency, because the default SipHash hasher of the standard library
+//! would dominate the profile.
 
+use pce_graph::VertexId;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+
+/// A set of vertex ids that clears in O(1): a member's slot holds the
+/// current epoch, and [`clear`](Self::clear) starts a new epoch. Slots are
+/// indexed by vertex id, so the marks grow with the vertex set
+/// ([`ensure_vertices`](Self::ensure_vertices)), like the cycle-union
+/// workspace's stamps.
+#[derive(Debug, Clone)]
+pub(crate) struct VertexMarks {
+    stamps: Vec<u32>,
+    /// Never 0: a slot that was never marked, or was removed, holds 0.
+    epoch: u32,
+}
+
+impl Default for VertexMarks {
+    fn default() -> Self {
+        Self {
+            stamps: Vec::new(),
+            epoch: 1,
+        }
+    }
+}
+
+impl VertexMarks {
+    /// Grows the marks to cover vertex ids below `n`; new slots are empty.
+    pub(crate) fn ensure_vertices(&mut self, n: usize) {
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+        }
+    }
+
+    /// Empties the set.
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        if self.epoch == u32::MAX {
+            // Once every 4G clears: stale stamps would match the restarted
+            // epochs.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        } else {
+            self.epoch += 1;
+        }
+    }
+
+    #[inline]
+    pub(crate) fn insert(&mut self, v: VertexId) {
+        self.stamps[v as usize] = self.epoch;
+    }
+
+    #[inline]
+    pub(crate) fn remove(&mut self, v: VertexId) {
+        self.stamps[v as usize] = 0;
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, v: VertexId) -> bool {
+        self.stamps[v as usize] == self.epoch
+    }
+
+    /// Moves the epoch to two clears before it wraps, so that a test can
+    /// run a search across the wrap-around, and leaves every slot stamped
+    /// with the small epoch `stale`, as if an early search had marked every
+    /// vertex: unless the wrap clears stale stamps, the set holds every
+    /// vertex once the restarted epochs reach `stale`.
+    #[cfg(test)]
+    pub(crate) fn skip_to_epoch_wrap(&mut self, stale: u32) {
+        self.stamps.fill(stale);
+        self.epoch = u32::MAX - 1;
+    }
+
+    #[cfg(test)]
+    pub(crate) fn epoch(&self) -> u32 {
+        self.epoch
+    }
+}
 
 /// The FxHash mixing constant (64-bit).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -80,6 +160,31 @@ pub fn fx_map<K, V>() -> FxHashMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vertex_marks_clear_by_epoch_and_survive_the_wrap() {
+        let mut marks = VertexMarks::default();
+        marks.ensure_vertices(4);
+        marks.insert(1);
+        marks.insert(3);
+        marks.remove(3);
+        assert!(marks.contains(1) && !marks.contains(3) && !marks.contains(0));
+        marks.clear();
+        assert!(!marks.contains(1));
+        // Stale stamps of epoch 1 must not come back after the wrap.
+        marks.skip_to_epoch_wrap(1);
+        for _ in 0..3 {
+            marks.clear();
+            assert!(
+                (0..4).all(|v| !marks.contains(v)),
+                "epoch {}",
+                marks.epoch()
+            );
+            marks.insert(2);
+            assert!(marks.contains(2));
+        }
+        assert!(marks.epoch() < 4, "the marks wrapped");
+    }
 
     #[test]
     fn set_and_map_behave_like_std() {

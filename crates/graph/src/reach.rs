@@ -82,6 +82,18 @@ impl CycleUnionWorkspace {
         self.union_members.clear();
     }
 
+    /// Moves the epoch to two passes before it wraps, so that a test can
+    /// run passes across the wrap-around, and stamps every vertex with epoch
+    /// 1 in both directions, as if a first pass had reached every vertex: the
+    /// union after the wrap then holds every vertex unless the wrap clears
+    /// stale stamps.
+    #[cfg(test)]
+    fn skip_to_epoch_wrap(&mut self) {
+        self.fwd_epoch.fill(1);
+        self.bwd_epoch.fill(1);
+        self.epoch = u32::MAX - 1;
+    }
+
     /// Is `v` in the cycle-union computed by the most recent `compute_*` call?
     #[inline]
     pub fn in_union(&self, v: VertexId) -> bool {
@@ -522,6 +534,56 @@ mod tests {
     use super::*;
     use crate::types::TemporalEdge;
     use crate::GraphBuilder;
+
+    /// Every pass gives the same result across the epoch wrap-around as on a
+    /// fresh workspace, whose stale stamps of epoch 1 the wrap must clear.
+    #[test]
+    fn passes_across_the_epoch_wrap_match_a_fresh_workspace() {
+        use crate::generators::{power_law_temporal, RandomTemporalConfig};
+        let g = power_law_temporal(RandomTemporalConfig {
+            num_vertices: 30,
+            num_edges: 200,
+            time_span: 80,
+            seed: 71,
+        });
+        let n = g.num_vertices() as VertexId;
+        let delta = 30;
+        let pass_all = CyclePredicate::pass_all();
+        let passes = |ws: &mut CycleUnionWorkspace| {
+            let mut out = Vec::new();
+            for (root, e0) in g.edge_ids() {
+                let after = TimeWindow::from_start(e0.ts, delta);
+                let before = TimeWindow::new(e0.ts - delta, e0.ts);
+                for pass in 0..4 {
+                    let nonempty = match pass {
+                        0 => ws.compute_simple(&g, root, after),
+                        1 => ws.compute_temporal(&g, root, delta),
+                        2 => ws.compute_simple_before(&g, root, before, &pass_all),
+                        _ => ws.compute_temporal_before(&g, root, before, &pass_all),
+                    };
+                    let mut members = ws.union_members().to_vec();
+                    members.sort_unstable();
+                    // Arrival and departure times are only kept by the
+                    // temporal passes.
+                    let timed = pass % 2 == 1;
+                    let marks: Vec<_> = (0..n)
+                        .map(|v| {
+                            let times = (ws.earliest_arrival(v), ws.latest_departure(v));
+                            (ws.in_union(v), timed.then_some(times))
+                        })
+                        .collect();
+                    out.push((nonempty, members, marks));
+                }
+            }
+            out
+        };
+        let fresh = passes(&mut CycleUnionWorkspace::new(n as usize));
+        assert!(fresh.iter().any(|(nonempty, ..)| *nonempty));
+        let mut ws = CycleUnionWorkspace::new(n as usize);
+        ws.skip_to_epoch_wrap();
+        assert!(passes(&mut ws) == fresh, "passes differ across the wrap");
+        assert!(ws.epoch < u32::MAX - 1, "the epoch wrapped");
+    }
 
     #[test]
     fn simple_union_on_triangle() {

@@ -37,6 +37,91 @@ fn first_k_returns_exactly_k_and_stops_early() {
     );
 }
 
+/// A search the sink stops still reports the work it did: every kernel
+/// counts edge visits in locals and flushes them when it returns, also on
+/// the early-stop path. Every cycle of Figure 4a has the same minimum edge,
+/// and every cycle of a hub burst the same maximum edge, so each run stops
+/// inside the one rooted search that does work: where a search flushes once
+/// (the temporal DFS and the split skeleton of the delta search), a flush
+/// that the stop path skipped would leave 0 visits.
+#[test]
+fn early_stop_flushes_the_work_counters() {
+    use parallel_cycle_enumeration::core::delta::{self, DeltaKind, DeltaPlan, Schedule};
+    use parallel_cycle_enumeration::graph::EdgeId;
+
+    let graph = generators::fig4a_exponential_cycles(12);
+    let engine = Engine::with_threads(1);
+    let window = graph.time_span();
+    let queries = [
+        (
+            "read_tarjan",
+            Query::simple().algorithm(Algorithm::ReadTarjan),
+        ),
+        ("temporal", Query::temporal().window(window)),
+    ];
+    let check = |label: &str, full: u64, stopped: [u64; 2]| {
+        assert!(stopped[0] > 0, "{label}: the stopped run flushed nothing");
+        assert!(
+            stopped[0] <= full,
+            "{label}: {stopped:?} above the full run's {full}"
+        );
+        assert_eq!(stopped[0], stopped[1], "{label}: repeats disagree");
+    };
+    for (label, query) in queries {
+        let query = query.granularity(Granularity::Sequential);
+        let full = engine.run(&query, &graph).unwrap().stats;
+        let stopped = [0, 1].map(|_| {
+            let sink = FirstKSink::new(3);
+            let stats = engine.run_with_sink(&query, &graph, &sink).unwrap();
+            assert_eq!(sink.into_cycles().len(), 3, "{label}");
+            stats.work.total_edge_visits()
+        });
+        check(label, full.work.total_edge_visits(), stopped);
+    }
+
+    let graph = generators::hub_burst(2, 8);
+    let window = graph.time_span();
+    let plans = [
+        (
+            "delta simple",
+            DeltaKind::Simple(SimpleCycleOptions::with_window(window)),
+        ),
+        (
+            "delta temporal",
+            DeltaKind::Temporal(TemporalCycleOptions::with_window(window)),
+        ),
+    ];
+    for (label, kind) in plans {
+        let plan = DeltaPlan {
+            kind,
+            predicate: CyclePredicate::pass_all(),
+        };
+        let roots = 0..graph.num_edges() as EdgeId;
+        let full = delta::run(
+            &plan,
+            Schedule::Sequential,
+            &graph,
+            roots.clone(),
+            &CountingSink::new(),
+            &mut Vec::new(),
+        );
+        let stopped = [0, 1].map(|_| {
+            let sink = FirstKSink::new(3);
+            let stats = delta::run(
+                &plan,
+                Schedule::Sequential,
+                &graph,
+                roots.clone(),
+                &sink,
+                &mut Vec::new(),
+            );
+            assert_eq!(sink.into_cycles().len(), 3, "{label}");
+            stats.work.total_edge_visits()
+        });
+        check(label, full.work.total_edge_visits(), stopped);
+    }
+}
+
 /// Early termination also holds across every parallel configuration, and the
 /// pool survives to serve the next (full) query.
 #[test]
