@@ -83,17 +83,20 @@ fn bench_fig4a_adversarial(c: &mut Criterion) {
     group.finish();
 }
 
-/// Read-Tarjan on WT at δ = 1,600 and temporal cycles on CO at δ = 1,250
-/// (the `static_oneshot` queries, without the benchmark's relabelling), at
-/// sequential and fine granularity on 2 threads, each next to its union
-/// pass over every root alone: a query's time minus its pass's is the
-/// search kernel's.
+/// Johnson and Read-Tarjan on WT at δ = 1,600 and temporal cycles on CO at
+/// δ = 1,250 (the `static_oneshot` queries, without the benchmark's
+/// relabelling), at sequential and fine granularity on 2 threads, next to
+/// each graph's union pass over every root alone: a query's time minus its
+/// pass's is the search kernel's.
 fn bench_oneshot_kernels(c: &mut Criterion) {
     const WT_DELTA: Timestamp = 1_600;
     const CO_DELTA: Timestamp = 1_250;
     let wt = dataset(DatasetId::WT).build().graph;
     let co = dataset(DatasetId::CO).build().graph;
     let engine = Engine::with_threads(2);
+    let johnson = Query::simple()
+        .algorithm(Algorithm::Johnson)
+        .window(WT_DELTA);
     let read_tarjan = Query::simple()
         .algorithm(Algorithm::ReadTarjan)
         .window(WT_DELTA);
@@ -101,6 +104,7 @@ fn bench_oneshot_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("oneshot_kernels");
     group.sample_size(10);
     for (name, query, graph) in [
+        ("johnson_wt", &johnson, &wt),
         ("read_tarjan_wt", &read_tarjan, &wt),
         ("temporal_co", &temporal, &co),
     ] {

@@ -36,7 +36,7 @@ pub enum Algo {
     CoarseReadTarjan,
     /// Coarse-grained parallel temporal enumeration.
     CoarseTemporal,
-    /// Fine-grained parallel Johnson (copy-on-steal).
+    /// Fine-grained parallel Johnson (copy-on-split).
     FineJohnson,
     /// Fine-grained parallel Read-Tarjan.
     FineReadTarjan,

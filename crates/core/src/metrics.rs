@@ -93,10 +93,12 @@ impl WorkMetrics {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one copy of the search state (copy-on-steal or task copy).
-    /// The fine temporal enumerators and the fine delta schedule copy only
-    /// when they split work off for an idle worker, so for them the count
-    /// depends on scheduling, like steals do.
+    /// Records one copy of the search state (a split or a task copy).
+    /// Fine Johnson, the fine temporal enumerators and the fine delta
+    /// schedule copy only when they split work off for an idle worker, one
+    /// copy per split, so for them the count depends on scheduling, like
+    /// steals do. Read-Tarjan copies once per child call at every
+    /// granularity.
     #[inline]
     pub fn copy_event(&self, worker: usize) {
         self.slot(worker)
@@ -112,12 +114,17 @@ impl WorkMetrics {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one (recursive) unblock operation.
+    /// Records `n` unblock operations at once: one per vertex Johnson's
+    /// recursive unblocking takes out of the blocked set. A search counts
+    /// them in a local and flushes them once, skipping an update that would
+    /// add nothing.
     #[inline]
-    pub fn unblock_op(&self, worker: usize) {
-        self.slot(worker)
-            .unblock_ops
-            .fetch_add(1, Ordering::Relaxed);
+    pub fn unblock_ops(&self, worker: usize, n: u64) {
+        if n > 0 {
+            self.slot(worker)
+                .unblock_ops
+                .fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Records that a worker finished processing one root edge.
@@ -223,16 +230,20 @@ impl WorkMetrics {
 pub struct WorkerWork {
     /// Edges visited.
     pub edge_visits: u64,
-    /// Recursive calls / tasks executed.
+    /// Recursive calls / tasks executed. For Johnson, one per `CIRCUIT`
+    /// invocation, the root's included, counted once however its frame is
+    /// split.
     pub recursive_calls: u64,
-    /// Search-state copies performed. For the fine temporal enumerators and
-    /// the fine delta schedule this counts on-demand splits (one per task
-    /// handed to an idle worker), not recursive calls, and depends on
-    /// scheduling like `steal_events`.
+    /// Search-state copies performed. For fine Johnson, the fine temporal
+    /// enumerators and the fine delta schedule this counts on-demand splits
+    /// (one per task handed to an idle worker), not recursive calls, and
+    /// depends on scheduling like `steal_events`.
     pub copy_events: u64,
     /// Branches stolen from other workers.
     pub steal_events: u64,
-    /// Unblock operations performed.
+    /// Unblock operations performed: Johnson's vertices taken out of the
+    /// blocked set by recursive unblocking. A search's first frame runs no
+    /// closing unblock, at every granularity.
     pub unblock_ops: u64,
     /// Root edges processed.
     pub roots_processed: u64,
@@ -469,7 +480,7 @@ mod tests {
         m.add_search_work(1, 0, 2);
         m.copy_event(2);
         m.steal_event(2);
-        m.unblock_op(0);
+        m.unblock_ops(0, 1);
         m.root_processed(0);
         m.union_members(0, 3);
         m.union_members(2, 4);

@@ -87,7 +87,7 @@ pub fn coarse_johnson_simple<S: CycleSink>(
         pool,
         Algorithm::Johnson,
         |root, scratch, sink, metrics, worker| {
-            johnson_root(graph, root, opts, scratch, sink, metrics, worker)
+            johnson_root(graph, root, opts, scratch, sink, metrics, worker, |_| {})
         },
     )
 }

@@ -18,120 +18,62 @@
 //! scalable (Theorem 6.2). Edge visits, recursive calls and copies equal the
 //! sequential search's at every thread count.
 
-use super::split::Workers;
-use crate::cycle::{CycleSink, HaltingSink};
-use crate::metrics::{RunStats, WorkMetrics};
+use super::split::{SimpleRun, WorkerState};
+use crate::cycle::CycleSink;
+use crate::metrics::RunStats;
 use crate::options::SimpleCycleOptions;
 use crate::seq::read_tarjan::{read_tarjan_root, run_calls, RtCallState, RtContext};
 use crate::seq::RootScratch;
-use crate::{Algorithm, Granularity};
-use pce_graph::{EdgeId, TemporalGraph, TimeWindow};
-use pce_sched::{DynamicCounter, Scope, ThreadPool, WorkerCtx};
+use crate::Algorithm;
+use pce_graph::{EdgeId, TemporalGraph};
+use pce_sched::{Scope, ThreadPool, WorkerCtx};
 use std::collections::VecDeque;
-use std::time::Instant;
 
-struct Shared<'a, S> {
-    graph: &'a TemporalGraph,
-    sink: &'a HaltingSink<'a, S>,
-    metrics: &'a WorkMetrics,
-    opts: &'a SimpleCycleOptions,
-    workers: Workers<WorkerState>,
+/// Moves the oldest pending call of `root`'s search to a new task when the
+/// split policy sees an idle worker. The call already owns its copies
+/// (counted when it was spawned), so the hand-off copies nothing.
+fn hand_off<'scope, S: CycleSink>(
+    run: &'scope SimpleRun<'_, S>,
+    root: EdgeId,
+    pending: &mut VecDeque<RtCallState>,
+    scope: &Scope<'scope>,
+    ctx: &WorkerCtx<'_>,
+) {
+    if !run.workers.wants_split(ctx) {
+        return;
+    }
+    let call = pending.pop_front().expect("a child was just pushed");
+    run.spawn_split(scope, ctx, move |state, scope, ctx| {
+        resume(run, state, root, call, scope, ctx)
+    });
 }
 
-/// A worker's scratch and the root whose union it holds: a handed-off call of
-/// that root runs without a pass.
-struct WorkerState {
-    scratch: RootScratch,
-    union_root: Option<EdgeId>,
-}
-
-impl<S: CycleSink> Shared<'_, S> {
-    /// Claims roots until none are left and runs each rooted search on this
-    /// worker's workspace, handing pending calls to idle workers.
-    fn claim_roots<'scope>(
-        &'scope self,
-        counter: &DynamicCounter,
-        scope: &Scope<'scope>,
-        ctx: &WorkerCtx<'_>,
-    ) {
-        let worker = ctx.worker_id();
-        let state = &mut *self.workers.lock(worker);
-        while let Some(root) = counter.next() {
-            if self.sink.stopped() {
-                break;
-            }
-            let root = root as EdgeId;
-            let start = Instant::now();
-            state.union_root = Some(root);
-            read_tarjan_root(
-                self.graph,
-                root,
-                self.opts,
-                &mut state.scratch,
-                self.sink,
-                self.metrics,
-                worker,
-                |pending| self.hand_off(root, pending, scope, ctx),
-            );
-            self.metrics.add_busy(worker, start.elapsed());
-        }
-    }
-
-    /// Moves the oldest pending call of `root`'s search to a new task when
-    /// the split policy sees an idle worker. The call already owns its copies
-    /// (counted when it was spawned), so the hand-off copies nothing.
-    fn hand_off<'scope>(
-        &'scope self,
-        root: EdgeId,
-        pending: &mut VecDeque<RtCallState>,
-        scope: &Scope<'scope>,
-        ctx: &WorkerCtx<'_>,
-    ) {
-        if !self.workers.wants_split(ctx) {
-            return;
-        }
-        let call = pending.pop_front().expect("a child was just pushed");
-        self.workers.spawn_split(
-            self.metrics,
-            || self.sink.stopped(),
-            scope,
-            ctx,
-            move |state, scope, ctx| self.resume(state, root, call, scope, ctx),
-        );
-    }
-
-    /// Runs a handed-off call of `root` and its descendants on this worker's
-    /// state, recomputing the root's union unless the workspace holds it.
-    fn resume<'scope>(
-        &'scope self,
-        state: &mut WorkerState,
-        root: EdgeId,
-        call: RtCallState,
-        scope: &Scope<'scope>,
-        ctx: &WorkerCtx<'_>,
-    ) {
-        let e0 = self.graph.edge(root);
-        let window = TimeWindow::from_start(e0.ts, self.opts.effective_delta());
-        let RootScratch { union, rt, .. } = &mut state.scratch;
-        if state.union_root != Some(root) {
-            state.union_root = Some(root);
-            let nonempty = union.compute_simple(self.graph, root, window);
-            debug_assert!(nonempty, "a handed-off root has a non-empty union");
-        }
-        let rt_ctx = RtContext {
-            graph: self.graph,
-            sink: self.sink,
-            metrics: self.metrics,
-            opts: self.opts,
-            union,
-            root,
-            v0: e0.src,
-            window,
-        };
-        run_calls(&rt_ctx, rt, ctx.worker_id(), call, |pending| {
-            self.hand_off(root, pending, scope, ctx)
-        });
-    }
+/// Runs a handed-off call of `root` and its descendants on this worker's
+/// state, recomputing the root's union unless the workspace holds it.
+fn resume<'scope, S: CycleSink>(
+    run: &'scope SimpleRun<'_, S>,
+    state: &mut WorkerState,
+    root: EdgeId,
+    call: RtCallState,
+    scope: &Scope<'scope>,
+    ctx: &WorkerCtx<'_>,
+) {
+    let window = run.window(root);
+    state.hold_union(run.graph, root, window);
+    let RootScratch { union, rt, .. } = &mut state.scratch;
+    let rt_ctx = RtContext {
+        graph: run.graph,
+        sink: run.sink,
+        metrics: run.metrics,
+        opts: run.opts,
+        union,
+        root,
+        v0: run.graph.edge(root).src,
+        window,
+    };
+    run_calls(&rt_ctx, rt, ctx.worker_id(), call, |pending| {
+        hand_off(run, root, pending, scope, ctx)
+    });
 }
 
 /// Fine-grained parallel Read-Tarjan enumeration of all (window-constrained)
@@ -142,37 +84,25 @@ pub fn fine_read_tarjan_simple<S: CycleSink>(
     sink: &S,
     pool: &ThreadPool,
 ) -> RunStats {
-    let threads = pool.num_threads();
-    let metrics = WorkMetrics::new(threads);
-    let start = Instant::now();
-    let counter = DynamicCounter::new(graph.num_edges(), 1);
-    let sink = HaltingSink::new(sink);
-    let shared = Shared {
+    SimpleRun::execute(
         graph,
-        sink: &sink,
-        metrics: &metrics,
         opts,
-        workers: Workers::new((0..threads).map(|_| WorkerState {
-            scratch: RootScratch::new(graph.num_vertices()),
-            union_root: None,
-        })),
-    };
-
-    pool.scope(|scope| {
-        for _ in 0..threads {
-            let (shared, counter) = (&shared, &counter);
-            scope.spawn(move |scope, ctx| shared.claim_roots(counter, scope, ctx));
-        }
-    });
-
-    RunStats {
-        cycles: sink.count(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        work: metrics.snapshot(),
-        threads,
-        ..RunStats::default()
-    }
-    .tagged(Algorithm::ReadTarjan, Granularity::FineGrained)
+        sink,
+        pool,
+        Algorithm::ReadTarjan,
+        |run, root, scratch, scope, ctx| {
+            read_tarjan_root(
+                run.graph,
+                root,
+                run.opts,
+                scratch,
+                run.sink,
+                run.metrics,
+                ctx.worker_id(),
+                |pending| hand_off(run, root, pending, scope, ctx),
+            )
+        },
+    )
 }
 
 #[cfg(test)]

@@ -4,9 +4,11 @@
 //!   starting (root) edge, dynamically scheduled. Work efficient but not
 //!   scalable (Theorem 4.2).
 //! * [`fine_johnson`] — the fine-grained parallel Johnson algorithm of §5:
-//!   unexplored branches of an active rooted search can be stolen by idle
-//!   workers via copy-on-steal with recursive unblocking. Scalable but not
-//!   work efficient (Theorems 5.1/5.2).
+//!   the owner of a root runs the sequential Johnson loop in place and, when
+//!   the pool reports an idle worker, splits unexplored edges off with a copy
+//!   of its path, blocked set and unblock lists, which the receiver rolls
+//!   back by recursive unblocking (copy-on-split). Scalable but not work
+//!   efficient (Theorems 5.1/5.2).
 //! * [`fine_read_tarjan`] — the fine-grained parallel Read-Tarjan algorithm of
 //!   §6: every recursive call carries copies of its path and blocked set, so
 //!   any pending call can run on any worker. The owner of a root runs the
@@ -23,7 +25,8 @@
 //! itself. The in-place, split-on-demand skeleton behind [`fine_temporal`]
 //! is a private module shared with the streaming [`crate::delta`] search,
 //! whose schedules differ only in whether the search may split, and its
-//! split policy also drives [`fine_read_tarjan`].
+//! split policy and root-claiming loop also drive [`fine_johnson`] and
+//! [`fine_read_tarjan`].
 
 pub mod coarse;
 pub mod fine_johnson;

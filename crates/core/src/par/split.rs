@@ -1,6 +1,7 @@
 //! The split-on-demand skeleton of the in-place searches, fine temporal (§7)
 //! and every schedule of the streaming delta search, and the split policy
-//! that fine Read-Tarjan shares with them.
+//! and root-claiming loop that fine Johnson and fine Read-Tarjan share with
+//! them ([`SimpleRun`]).
 //!
 //! A worker runs a rooted search depth-first, in place, on its own reusable
 //! [`Buffers`]: the path, and an explicit stack of [`Frame`]s — one per
@@ -9,7 +10,7 @@
 //! only its extension step: given the next out-edge of the path's tip, it
 //! reports the cycle that edge closes or returns the frame to descend into.
 //!
-//! Work is split off **on demand** (copy-on-steal, §5–§7). When a search may
+//! Work is split off **on demand** (copy-on-split, §5–§7). When a search may
 //! split, the worker asks the pool before each descent whether a worker is
 //! idle ([`WorkerCtx::idle_workers`]) that no earlier split is still waiting
 //! for ([`Workers::wants_split`]). Only then does it split: the first half of
@@ -20,12 +21,16 @@
 //! worker never copies; a worker that falls idle is handed work at the busy
 //! worker's next descent.
 
-use crate::metrics::WorkMetrics;
+use crate::cycle::{CycleSink, HaltingSink};
+use crate::metrics::{RunStats, WorkMetrics};
+use crate::options::SimpleCycleOptions;
+use crate::seq::RootScratch;
 use crate::util::VertexMarks;
+use crate::{Algorithm, Granularity};
 use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
-use pce_graph::{AdjEntry, Amount, EdgeId, VertexId};
-use pce_sched::{Scope, WorkerCtx};
+use pce_graph::{AdjEntry, Amount, EdgeId, TemporalGraph, TimeWindow, VertexId};
+use pce_sched::{DynamicCounter, Scope, ThreadPool, WorkerCtx};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -181,6 +186,115 @@ impl<W> Workers<W> {
 
     pub(crate) fn into_states(self) -> impl Iterator<Item = W> {
         self.states.into_iter().map(|s| s.into_inner().into_inner())
+    }
+}
+
+/// A worker's scratch and the root whose cycle union it holds: a split-off
+/// part of that root runs without a pass.
+pub(crate) struct WorkerState {
+    pub(crate) scratch: RootScratch,
+    union_root: Option<EdgeId>,
+}
+
+impl WorkerState {
+    /// Makes the scratch hold `root`'s simple union, recomputing it unless
+    /// it does already. The pass is not counted: the root's owner counted
+    /// it, so roots and union members stay the sequential search's.
+    pub(crate) fn hold_union(&mut self, graph: &TemporalGraph, root: EdgeId, window: TimeWindow) {
+        if self.union_root != Some(root) {
+            self.union_root = Some(root);
+            let nonempty = self.scratch.union.compute_simple(graph, root, window);
+            debug_assert!(nonempty, "a split-off root has a non-empty union");
+        }
+    }
+}
+
+/// The run-wide state of fine Johnson and fine Read-Tarjan: what every
+/// rooted search reads, and the per-worker states.
+pub(crate) struct SimpleRun<'a, S> {
+    pub(crate) graph: &'a TemporalGraph,
+    pub(crate) opts: &'a SimpleCycleOptions,
+    pub(crate) sink: &'a HaltingSink<'a, S>,
+    pub(crate) metrics: &'a WorkMetrics,
+    pub(crate) workers: Workers<WorkerState>,
+}
+
+impl<S: CycleSink> SimpleRun<'_, S> {
+    /// Runs a fine-grained simple-cycle query on `pool`. Every worker claims
+    /// roots from one dynamic counter until none are left and runs
+    /// `search_root` on each, on its own scratch; a search hands work to idle
+    /// workers through [`Self::spawn_split`]. The pool's scope returns once
+    /// every split-off part has run.
+    pub(crate) fn execute<F>(
+        graph: &TemporalGraph,
+        opts: &SimpleCycleOptions,
+        sink: &S,
+        pool: &ThreadPool,
+        algorithm: Algorithm,
+        search_root: F,
+    ) -> RunStats
+    where
+        F: for<'s> Fn(&'s SimpleRun<'_, S>, EdgeId, &mut RootScratch, &Scope<'s>, &WorkerCtx<'_>)
+            + Sync,
+    {
+        let threads = pool.num_threads();
+        let metrics = WorkMetrics::new(threads);
+        let start = Instant::now();
+        let counter = DynamicCounter::new(graph.num_edges(), 1);
+        let sink = HaltingSink::new(sink);
+        let run = SimpleRun {
+            graph,
+            opts,
+            sink: &sink,
+            metrics: &metrics,
+            workers: Workers::new((0..threads).map(|_| WorkerState {
+                scratch: RootScratch::new(graph.num_vertices()),
+                union_root: None,
+            })),
+        };
+        pool.scope(|scope| {
+            for _ in 0..threads {
+                let (run, counter, search_root) = (&run, &counter, &search_root);
+                scope.spawn(move |scope, ctx| {
+                    let worker = ctx.worker_id();
+                    let state = &mut *run.workers.lock(worker);
+                    while let Some(root) = counter.next() {
+                        if run.sink.stopped() {
+                            break;
+                        }
+                        let root = root as EdgeId;
+                        let start = Instant::now();
+                        state.union_root = Some(root);
+                        search_root(run, root, &mut state.scratch, scope, ctx);
+                        run.metrics.add_busy(worker, start.elapsed());
+                    }
+                });
+            }
+        });
+        RunStats {
+            cycles: sink.count(),
+            wall_secs: start.elapsed().as_secs_f64(),
+            work: metrics.snapshot(),
+            threads,
+            ..RunStats::default()
+        }
+        .tagged(algorithm, Granularity::FineGrained)
+    }
+
+    /// Spawns `run` as a split task ([`Workers::spawn_split`]).
+    pub(crate) fn spawn_split<'scope>(
+        &'scope self,
+        scope: &Scope<'scope>,
+        ctx: &WorkerCtx<'_>,
+        run: impl FnOnce(&mut WorkerState, &Scope<'scope>, &WorkerCtx<'_>) + Send + 'scope,
+    ) {
+        self.workers
+            .spawn_split(self.metrics, || self.sink.stopped(), scope, ctx, run);
+    }
+
+    /// The time window of the search rooted at `root`.
+    pub(crate) fn window(&self, root: EdgeId) -> TimeWindow {
+        TimeWindow::from_start(self.graph.edge(root).ts, self.opts.effective_delta())
     }
 }
 

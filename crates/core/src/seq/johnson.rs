@@ -7,11 +7,21 @@
 //! unblocked. This delayed unblocking is what bounds the work per discovered
 //! cycle to `O(n+e)` and gives the overall `O((n+e)(c+1))` complexity.
 //!
-//! This module contains the sequential implementation; the coarse-grained
-//! parallel version simply runs `johnson_root` for different root edges on
-//! different workers, and the fine-grained version (in
-//! [`crate::par::fine_johnson`]) re-implements the same recursion with
-//! explicit frames so that unexplored branches can be stolen.
+//! Every granularity runs the same search: `CIRCUIT` as an in-place loop
+//! over an explicit stack of frames, on the running worker's scratch. The
+//! path and its marks are the split skeleton's [`Buffers`]; the blocked set
+//! is epoch-stamped [`VertexMarks`] and `Blist` is one list per vertex, valid
+//! for the running search by another epoch stamp, so neither a frame nor an
+//! edge allocates or hashes. Before each descent the search calls a split
+//! hook: sequential and coarse-grained runs pass a no-op, and the
+//! fine-grained driver ([`crate::par::fine_johnson`]) hands part of the
+//! search to an idle worker through [`Search::split_off`].
+//!
+//! The work counters have one definition at every granularity: an edge
+//! visit per scanned edge after the root, a recursive call per `CIRCUIT`
+//! invocation (the root's included) and an unblock operation per vertex
+//! unblocked. The root's own frame runs no closing unblock: it would change
+//! nothing, because the next search starts a fresh epoch.
 //!
 //! When a maximum cycle length is configured, delayed blocking would be
 //! unsound (a vertex may fail only because the remaining length budget was
@@ -21,125 +31,334 @@
 use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::SimpleCycleOptions;
+use crate::par::split::Buffers;
 use crate::seq::{handle_self_loop_root, timed_run, RootScratch};
-use crate::util::{fx_map, fx_set, FxHashMap, FxHashSet};
+use crate::util::VertexMarks;
 use crate::{Algorithm, Granularity};
 use pce_graph::reach::CycleUnionWorkspace;
-use pce_graph::{EdgeId, TemporalGraph, TimeWindow, VertexId};
+use pce_graph::{AdjEntry, EdgeId, TemporalGraph, TimeWindow, VertexId};
 
-/// The per-root Johnson search state. Exposed (crate-internally) because the
-/// coarse-grained driver reuses it directly.
-struct JohnsonSearch<'a, S> {
-    graph: &'a TemporalGraph,
-    sink: &'a HaltingSink<'a, S>,
-    metrics: &'a WorkMetrics,
-    worker: usize,
-    opts: &'a SimpleCycleOptions,
-    union: &'a CycleUnionWorkspace,
+/// A worker's Johnson state kept between searches: the blocked set `Blk`,
+/// the unblock lists `Blist` and the allocation of the frame stack.
+#[derive(Debug, Default)]
+pub(crate) struct JohnsonMarks {
+    blocked: VertexMarks,
+    /// The vertices whose list in `blist` belongs to the running search.
+    listed: VertexMarks,
+    /// `blist[w]`: the blocked vertices to unblock when `w` is, each once;
+    /// stale unless `listed` holds `w`. Sized by the first search, so a
+    /// scratch that never runs Johnson keeps none.
+    blist: Vec<Vec<VertexId>>,
+    /// The pending vertices of an unblocking cascade.
+    cascade: Vec<VertexId>,
+    frames: Vec<Frame<'static>>,
+}
+
+impl JohnsonMarks {
+    pub(crate) fn ensure_vertices(&mut self, n: usize) {
+        self.blocked.ensure_vertices(n);
+        self.listed.ensure_vertices(n);
+    }
+
+    /// Starts a search on a graph of `n` vertices, with nothing blocked.
+    fn start(&mut self, n: usize) {
+        self.blocked.clear();
+        self.listed.clear();
+        if self.blist.len() < n {
+            self.blist.resize_with(n, Vec::new);
+        }
+    }
+
+    /// `w`'s unblock list in the running search.
+    fn list(&mut self, w: VertexId) -> &mut Vec<VertexId> {
+        let list = &mut self.blist[w as usize];
+        if !self.listed.contains(w) {
+            self.listed.insert(w);
+            list.clear();
+        }
+        list
+    }
+
+    /// The recursive unblocking procedure, as a loop: unblocks `v` and every
+    /// blocked vertex listed under a vertex it unblocks. Returns how many
+    /// vertices it unblocked.
+    fn unblock(&mut self, v: VertexId) -> u64 {
+        let mut unblocked = 0;
+        self.cascade.push(v);
+        while let Some(u) = self.cascade.pop() {
+            if !self.blocked.contains(u) {
+                continue;
+            }
+            self.blocked.remove(u);
+            unblocked += 1;
+            if self.listed.contains(u) {
+                self.listed.remove(u);
+                self.cascade.extend_from_slice(&self.blist[u as usize]);
+            }
+        }
+        unblocked
+    }
+
+    #[cfg(test)]
+    pub(crate) fn skip_to_epoch_wrap(&mut self, stale: u32) {
+        self.blocked.skip_to_epoch_wrap(stale);
+        self.listed.skip_to_epoch_wrap(stale);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn epochs(&self) -> [u32; 2] {
+        [self.blocked.epoch(), self.listed.epoch()]
+    }
+}
+
+/// One `CIRCUIT` call: its vertex and the out-edges of that vertex in the
+/// root's window that it has not scanned yet.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame<'g> {
+    vertex: VertexId,
+    edges: &'g [AdjEntry],
+    /// A cycle was found below this frame.
+    found: bool,
+    /// Part of `edges` went to another worker.
+    stolen: bool,
+}
+
+impl<'g> Frame<'g> {
+    fn new(vertex: VertexId, edges: &'g [AdjEntry]) -> Self {
+        Self {
+            vertex,
+            edges,
+            found: false,
+            stolen: false,
+        }
+    }
+}
+
+/// An emptied frame stack, retyped for a graph borrowed for another
+/// lifetime so that the scratch can keep its allocation between searches.
+// `filter` cannot change the frames' lifetime; `filter_map` can. Collecting
+// nothing from an owning iterator of the same layout reuses its allocation.
+#[allow(clippy::unnecessary_filter_map)]
+fn recycle<'h>(frames: Vec<Frame<'_>>) -> Vec<Frame<'h>> {
+    frames.into_iter().filter_map(|_| None).collect()
+}
+
+/// Unscanned edges of one frame of a rooted search, split off for another
+/// worker with a copy of the owner's `Π`, `Blk` and `Blist` (§5).
+pub(crate) struct JohnsonSplit<'g> {
+    pub(crate) root: EdgeId,
+    /// The owner's whole path. The receiver keeps its first `keep` vertices,
+    /// the path up to the frame, and unblocks the others.
+    path: Vec<VertexId>,
+    path_edges: Vec<EdgeId>,
+    keep: usize,
+    blocked: Vec<VertexId>,
+    /// `(w, v)` for every `v` in `Blist[w]`.
+    waiting: Vec<(VertexId, VertexId)>,
+    frame: Frame<'g>,
+}
+
+/// A rooted Johnson search running in place on a worker's scratch.
+pub(crate) struct Search<'s, 'g> {
+    graph: &'g TemporalGraph,
+    opts: &'s SimpleCycleOptions,
+    union: &'s CycleUnionWorkspace,
     root: EdgeId,
-    v0: VertexId,
     window: TimeWindow,
     /// Delayed blocking is only sound without a length constraint.
     use_blocking: bool,
-    path: Vec<VertexId>,
-    path_edges: Vec<EdgeId>,
-    on_path: FxHashSet<VertexId>,
-    blocked: FxHashSet<VertexId>,
-    blist: FxHashMap<VertexId, FxHashSet<VertexId>>,
-    /// Edge visits and recursive calls so far, flushed once per root.
-    visits: u64,
-    calls: u64,
+    /// The path, its edges and its marks.
+    buf: &'s mut Buffers<'static>,
+    marks: &'s mut JohnsonMarks,
+    /// Shallowest first: `frames[i]` is the call of `path[base - 1 + i]`.
+    frames: Vec<Frame<'g>>,
+    base: usize,
 }
 
-impl<S: CycleSink> JohnsonSearch<'_, S> {
-    /// The recursive `CIRCUIT(v)` procedure. Returns `true` if at least one
-    /// cycle was found in the subtree rooted at `v`.
-    fn circuit(&mut self, v: VertexId) -> bool {
-        self.calls += 1;
-        let mut found = false;
-        let graph = self.graph;
-        for &entry in graph.out_edges_in_window(v, self.window) {
-            if self.sink.stopped() {
-                return found;
-            }
-            if entry.edge <= self.root {
-                continue;
-            }
-            self.visits += 1;
-            let w = entry.neighbor;
-            if w == self.v0 {
-                if self.opts.len_ok(self.path_edges.len() + 1) {
-                    self.path_edges.push(entry.edge);
-                    self.sink.push(&self.path, &self.path_edges);
-                    self.path_edges.pop();
-                    found = true;
-                }
-                continue;
-            }
-            if !self.union.in_union(w) || self.on_path.contains(&w) {
-                continue;
-            }
-            if self.use_blocking && self.blocked.contains(&w) {
-                continue;
-            }
-            if !self.opts.len_ok(self.path_edges.len() + 2) {
-                continue;
-            }
-            self.path.push(w);
-            self.path_edges.push(entry.edge);
-            self.on_path.insert(w);
-            if self.use_blocking {
-                self.blocked.insert(w);
-            }
-            if self.circuit(w) {
-                found = true;
-            }
-            self.on_path.remove(&w);
-            self.path_edges.pop();
-            self.path.pop();
+impl<'s, 'g> Search<'s, 'g> {
+    /// Loads the search of `root` ending in `frame` after `path` (which ends
+    /// at the frame's vertex), with nothing blocked yet. `scratch` holds the
+    /// root's union.
+    fn load(
+        graph: &'g TemporalGraph,
+        opts: &'s SimpleCycleOptions,
+        root: EdgeId,
+        scratch: &'s mut RootScratch,
+        path: &[VertexId],
+        path_edges: &[EdgeId],
+        frame: Frame<'g>,
+    ) -> Self {
+        let RootScratch {
+            union,
+            search: buf,
+            johnson: marks,
+            ..
+        } = scratch;
+        buf.start(path, path_edges);
+        marks.start(graph.num_vertices());
+        let mut frames = recycle(std::mem::take(&mut marks.frames));
+        frames.push(frame);
+        Self {
+            graph,
+            opts,
+            union,
+            root,
+            window: TimeWindow::from_start(graph.edge(root).ts, opts.effective_delta()),
+            use_blocking: opts.max_len.is_none(),
+            buf,
+            marks,
+            frames,
+            base: path.len(),
         }
-        if self.use_blocking {
-            if found {
-                self.unblock(v);
-            } else {
-                // Delayed unblocking: v will be unblocked when any of its
-                // admissible successors is unblocked.
-                for &entry in graph.out_edges_in_window(v, self.window) {
-                    if entry.edge <= self.root || !self.union.in_union(entry.neighbor) {
-                        continue;
+    }
+
+    /// Runs the loaded search depth-first, in the sequential order, and winds
+    /// down early once the sink stops the run. `split` may split part of the
+    /// search off before each descent. `calls` counts the loaded frame's
+    /// `CIRCUIT` call if no other worker did. Edge visits, calls and
+    /// unblocks are counted in locals and flushed into `worker`'s counters
+    /// once, when the search returns.
+    fn run<S: CycleSink>(
+        mut self,
+        sink: &HaltingSink<'_, S>,
+        metrics: &WorkMetrics,
+        worker: usize,
+        mut calls: u64,
+        mut unblocks: u64,
+        mut split: impl FnMut(&mut Self),
+    ) {
+        let (graph, root, window) = (self.graph, self.root, self.window);
+        let v0 = self.buf.path[0];
+        let mut visits = 0;
+        while let Some(frame) = self.frames.last_mut() {
+            let Some((&entry, rest)) = frame.edges.split_first() else {
+                let done = self.frames.pop().expect("a frame was just read");
+                // The search's first frame closes nothing.
+                let Some(parent) = self.frames.last_mut() else {
+                    break;
+                };
+                let v = done.vertex;
+                self.buf.path.pop();
+                self.buf.path_edges.pop();
+                self.buf.on_path.remove(v);
+                // A frame that lost edges to another worker counts as having
+                // found a cycle: unblocking too eagerly only costs pruning.
+                let found = done.found || done.stolen;
+                parent.found |= found;
+                if !self.use_blocking {
+                    continue;
+                }
+                if found {
+                    unblocks += self.marks.unblock(v);
+                } else {
+                    // Delayed unblocking: v is unblocked with any of its
+                    // admissible successors.
+                    for &e in graph.out_edges_in_window(v, window) {
+                        if e.edge > root && self.union.in_union(e.neighbor) {
+                            let list = self.marks.list(e.neighbor);
+                            if !list.contains(&v) {
+                                list.push(v);
+                            }
+                        }
                     }
-                    self.blist.entry(entry.neighbor).or_default().insert(v);
+                }
+                continue;
+            };
+            frame.edges = rest;
+            if sink.stopped() {
+                break;
+            }
+            if entry.edge <= root {
+                continue;
+            }
+            visits += 1;
+            let w = entry.neighbor;
+            let len = self.buf.path_edges.len();
+            if w == v0 {
+                if self.opts.len_ok(len + 1) {
+                    self.buf.path_edges.push(entry.edge);
+                    sink.push(&self.buf.path, &self.buf.path_edges);
+                    self.buf.path_edges.pop();
+                    frame.found = true;
+                }
+                continue;
+            }
+            if !self.union.in_union(w)
+                || self.buf.on_path.contains(w)
+                || (self.use_blocking && self.marks.blocked.contains(w))
+                || !self.opts.len_ok(len + 2)
+            {
+                continue;
+            }
+            split(&mut self);
+            calls += 1;
+            self.buf.path.push(w);
+            self.buf.path_edges.push(entry.edge);
+            self.buf.on_path.insert(w);
+            if self.use_blocking {
+                self.marks.blocked.insert(w);
+            }
+            self.frames
+                .push(Frame::new(w, graph.out_edges_in_window(w, window)));
+        }
+        metrics.add_search_work(worker, visits, calls);
+        metrics.unblock_ops(worker, unblocks);
+        self.frames.clear();
+        self.marks.frames = recycle(self.frames);
+    }
+
+    /// Splits the first half of the shallowest frame's unscanned edges off
+    /// for another worker, or returns `None` when no frame has any left.
+    /// Shallow frames hold the largest subtrees. The split carries copies of
+    /// the path and of the blocked vertices with their unblock lists, and
+    /// marks the frame stolen, so the owner unblocks its vertex on backtrack.
+    pub(crate) fn split_off(&mut self) -> Option<JohnsonSplit<'g>> {
+        let depth = self.frames.iter().position(|f| !f.edges.is_empty())?;
+        let frame = &mut self.frames[depth];
+        let (give, keep) = frame.edges.split_at(frame.edges.len().div_ceil(2));
+        frame.edges = keep;
+        frame.stolen = true;
+        let (mut blocked, mut waiting) = (Vec::new(), Vec::new());
+        if self.use_blocking {
+            // Only union members are ever blocked, and only blocked
+            // vertices have unblock lists, so the union's member list finds
+            // them all without a list kept up to date on every block.
+            for &v in self.union.union_members() {
+                if self.marks.blocked.contains(v) {
+                    blocked.push(v);
+                    if self.marks.listed.contains(v) {
+                        let list = &self.marks.blist[v as usize];
+                        waiting.extend(list.iter().map(|&u| (v, u)));
+                    }
                 }
             }
         }
-        found
-    }
-
-    /// The recursive unblocking procedure.
-    fn unblock(&mut self, v: VertexId) {
-        if !self.blocked.remove(&v) {
-            return;
-        }
-        self.metrics.unblock_op(self.worker);
-        if let Some(list) = self.blist.remove(&v) {
-            for u in list {
-                self.unblock(u);
-            }
-        }
+        Some(JohnsonSplit {
+            root: self.root,
+            path: self.buf.path.clone(),
+            path_edges: self.buf.path_edges.clone(),
+            keep: self.base + depth,
+            blocked,
+            waiting,
+            frame: Frame::new(frame.vertex, give),
+        })
     }
 }
 
-/// Runs the Johnson search rooted at edge `root`: enumerates every cycle whose
-/// minimum `(timestamp, id)` edge is `root` and whose edges all lie within the
-/// window `[ts(root) : ts(root) + δ]`.
-pub(crate) fn johnson_root<S: CycleSink>(
-    graph: &TemporalGraph,
+/// Runs the Johnson search rooted at edge `root`: enumerates every cycle
+/// whose minimum `(timestamp, id)` edge is `root` and whose edges all lie
+/// within the window `[ts(root) : ts(root) + δ]`. Before each descent,
+/// `split` may split part of the search off ([`Search::split_off`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn johnson_root<'g, S: CycleSink>(
+    graph: &'g TemporalGraph,
     root: EdgeId,
     opts: &SimpleCycleOptions,
     scratch: &mut RootScratch,
     sink: &HaltingSink<'_, S>,
     metrics: &WorkMetrics,
     worker: usize,
+    split: impl FnMut(&mut Search<'_, 'g>),
 ) {
     if handle_self_loop_root(graph, root, opts, sink) {
         return;
@@ -153,33 +372,51 @@ pub(crate) fn johnson_root<S: CycleSink>(
     }) {
         return;
     }
-    let mut on_path = fx_set();
-    on_path.insert(e0.src);
-    on_path.insert(e0.dst);
-    let mut blocked = fx_set();
-    blocked.insert(e0.src);
-    blocked.insert(e0.dst);
-    let mut search = JohnsonSearch {
+    let frame = Frame::new(e0.dst, graph.out_edges_in_window(e0.dst, window));
+    let search = Search::load(
         graph,
-        sink,
-        metrics,
-        worker,
         opts,
-        union: &scratch.union,
         root,
-        v0: e0.src,
-        window,
-        use_blocking: opts.max_len.is_none(),
-        path: vec![e0.src, e0.dst],
-        path_edges: vec![root],
-        on_path,
-        blocked,
-        blist: fx_map(),
-        visits: 0,
-        calls: 0,
-    };
-    search.circuit(e0.dst);
-    metrics.add_search_work(worker, search.visits, search.calls);
+        scratch,
+        &[e0.src, e0.dst],
+        &[root],
+        frame,
+    );
+    if search.use_blocking {
+        search.marks.blocked.insert(e0.src);
+        search.marks.blocked.insert(e0.dst);
+    }
+    search.run(sink, metrics, worker, 1, 0, split);
+}
+
+/// Runs a split-off part of a rooted search on this worker's `scratch`,
+/// which must hold the root's union: truncates the copied path to the
+/// split frame, unblocking every vertex it removes (§5), and searches on
+/// from there. The frame's own call was counted by its owner.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn resume_split<'g, S: CycleSink>(
+    graph: &'g TemporalGraph,
+    opts: &SimpleCycleOptions,
+    task: JohnsonSplit<'g>,
+    scratch: &mut RootScratch,
+    sink: &HaltingSink<'_, S>,
+    metrics: &WorkMetrics,
+    worker: usize,
+    split: impl FnMut(&mut Search<'_, 'g>),
+) {
+    let (path, edges) = (&task.path[..task.keep], &task.path_edges[..task.keep - 1]);
+    let search = Search::load(graph, opts, task.root, scratch, path, edges, task.frame);
+    for &v in &task.blocked {
+        search.marks.blocked.insert(v);
+    }
+    for &(w, v) in &task.waiting {
+        search.marks.list(w).push(v);
+    }
+    let unblocks = task.path[task.keep..]
+        .iter()
+        .map(|&v| search.marks.unblock(v))
+        .sum();
+    search.run(sink, metrics, worker, 0, unblocks, split);
 }
 
 /// Sequential Johnson enumeration of all (window-constrained) simple cycles.
@@ -196,7 +433,7 @@ pub fn johnson_simple<S: CycleSink>(
             if sink.stopped() {
                 break;
             }
-            johnson_root(graph, root, opts, &mut scratch, &sink, &metrics, 0);
+            johnson_root(graph, root, opts, &mut scratch, &sink, &metrics, 0, |_| {});
         }
     })
     .tagged(Algorithm::Johnson, Granularity::Sequential)

@@ -21,17 +21,19 @@ use pce_graph::{EdgeId, TemporalGraph};
 use std::time::Instant;
 
 /// A per-worker scratch area reused across rooted searches: the cycle-union
-/// workspace, the in-place search's path and frame buffers, and Read-Tarjan's
-/// marks. Each sequential run owns one; parallel runs own one per worker.
+/// workspace, the in-place search's path and frame buffers, and Johnson's and
+/// Read-Tarjan's marks. Each sequential run owns one; parallel runs own one per worker.
 /// Every per-vertex array in it is epoch-stamped, so reuse costs nothing.
 #[derive(Debug)]
 pub struct RootScratch {
     /// Cycle-union / reachability workspace (epoch-stamped, reused per root).
     pub union: pce_graph::reach::CycleUnionWorkspace,
     /// The path, path marks and frames of the in-place searches (the split
-    /// skeleton and the sequential temporal search), kept between runs so
-    /// that a long-lived engine allocates none per root.
+    /// skeleton, Johnson and the sequential temporal search), kept between
+    /// runs so that a long-lived engine allocates none per root.
     pub(crate) search: crate::par::split::Buffers<'static>,
+    /// Johnson's blocked set, unblock lists and frames.
+    pub(crate) johnson: johnson::JohnsonMarks,
     /// Read-Tarjan's per-call avoid marks and probe buffers.
     pub(crate) rt: read_tarjan::RtMarks,
 }
@@ -42,6 +44,7 @@ impl RootScratch {
         let mut scratch = Self {
             union: pce_graph::reach::CycleUnionWorkspace::new(n),
             search: Default::default(),
+            johnson: Default::default(),
             rt: Default::default(),
         };
         scratch.ensure_vertices(n);
@@ -55,6 +58,7 @@ impl RootScratch {
     pub fn ensure_vertices(&mut self, n: usize) {
         self.union.ensure_vertices(n);
         self.search.on_path.ensure_vertices(n);
+        self.johnson.ensure_vertices(n);
         self.rt.ensure_vertices(n);
     }
 
@@ -64,15 +68,18 @@ impl RootScratch {
     #[cfg(test)]
     pub(crate) fn skip_to_epoch_wrap(&mut self, stale: u32) {
         self.search.on_path.skip_to_epoch_wrap(stale);
+        self.johnson.skip_to_epoch_wrap(stale);
         self.rt.skip_to_epoch_wrap(stale);
     }
 
     /// The epochs of the path marks, Read-Tarjan's avoid marks and its probe
-    /// marks: small again once they wrapped.
+    /// marks, and Johnson's blocked set and list stamps: small again once
+    /// they wrapped.
     #[cfg(test)]
-    pub(crate) fn mark_epochs(&self) -> [u32; 3] {
+    pub(crate) fn mark_epochs(&self) -> [u32; 5] {
         let [avoid, visited] = self.rt.epochs();
-        [self.search.on_path.epoch(), avoid, visited]
+        let [blocked, listed] = self.johnson.epochs();
+        [self.search.on_path.epoch(), avoid, visited, blocked, listed]
     }
 }
 
@@ -115,6 +122,7 @@ pub(crate) fn timed_run<S: CycleSink>(
 
 #[cfg(test)]
 mod tests {
+    use super::johnson::johnson_root;
     use super::read_tarjan::read_tarjan_root;
     use super::temporal::temporal_root;
     use super::*;
@@ -125,7 +133,7 @@ mod tests {
     use pce_graph::CyclePredicate;
 
     /// The cycles and deterministic work counters of one run.
-    type Outcome = (Vec<Cycle>, [u64; 4]);
+    type Outcome = (Vec<Cycle>, [u64; 5]);
 
     fn outcome(sink: &CollectingSink, stats: &RunStats) -> Outcome {
         let w = &stats.work;
@@ -134,6 +142,7 @@ mod tests {
             w.total_recursive_calls(),
             w.total_copies(),
             w.total_union_members(),
+            w.total_unblocks(),
         ];
         (sink.canonical_cycles(), counters)
     }
@@ -187,7 +196,16 @@ mod tests {
         let temporal = TemporalCycleOptions::with_window(temporal_delta);
         // Which of `RootScratch::mark_epochs` each kernel advances.
         type Kernel<'a> = Box<dyn Fn(&mut RootScratch) -> Outcome + 'a>;
-        let kernels: [(&str, Kernel<'_>, &[usize]); 4] = [
+        let kernels: [(&str, Kernel<'_>, &[usize]); 5] = [
+            (
+                "johnson",
+                Box::new(|scratch: &mut RootScratch| {
+                    sweep(g, scratch, |root, scratch, sink, metrics| {
+                        johnson_root(g, root, &simple, scratch, sink, metrics, 0, |_| {})
+                    })
+                }),
+                &[0, 3, 4],
+            ),
             (
                 "read_tarjan",
                 Box::new(|scratch: &mut RootScratch| {

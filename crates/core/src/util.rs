@@ -1,19 +1,20 @@
 //! Small utilities: epoch-stamped vertex marks for the search hot loops, and
-//! a fast, non-cryptographic hasher for vertex keys with the hash-set/map
-//! aliases built on it.
+//! a fast, non-cryptographic hasher for vertex keys with the hash-set alias
+//! built on it.
 //!
-//! A search tests path membership once or twice per visited edge, so the
-//! in-place searches (the split skeleton, Read-Tarjan and the temporal DFS)
-//! keep their path and blocked sets as `VertexMarks`: one array read per
-//! test, and clearing costs one epoch bump. The hash sets remain where a
-//! search keeps per-vertex lists (Johnson's `Blist`) or copies its sets on a
-//! steal. They use the FxHash mixing function (the one rustc uses)
-//! re-implemented here in a few lines rather than adding an external
-//! dependency, because the default SipHash hasher of the standard library
-//! would dominate the profile.
+//! A search tests path membership once or twice per visited edge, so every
+//! in-place search (the split skeleton, Johnson, Read-Tarjan and the temporal
+//! DFS) keeps its path and blocked sets as `VertexMarks`: one array read per
+//! test, and clearing costs one epoch bump. The hash set remains where a key
+//! is not a plain vertex or the search is a baseline: the `(vertex,
+//! arrival)` probe set of fine temporal Read-Tarjan, Tiernan's and the
+//! bundled search's path sets, and cycle validation. It uses the
+//! FxHash mixing function (the one rustc uses) re-implemented here in a few
+//! lines rather than adding an external dependency, because the default
+//! SipHash hasher of the standard library would dominate the profile.
 
 use pce_graph::VertexId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A set of vertex ids that clears in O(1): a member's slot holds the
@@ -144,17 +145,9 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// A `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
 /// Creates an empty [`FxHashSet`].
 pub fn fx_set<T>() -> FxHashSet<T> {
     FxHashSet::default()
-}
-
-/// Creates an empty [`FxHashMap`].
-pub fn fx_map<K, V>() -> FxHashMap<K, V> {
-    FxHashMap::default()
 }
 
 #[cfg(test)]
@@ -187,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn set_and_map_behave_like_std() {
+    fn set_behaves_like_std() {
         let mut set = fx_set();
         for i in 0..1000u32 {
             assert!(set.insert(i));
@@ -197,13 +190,6 @@ mod tests {
             assert!(!set.insert(i));
         }
         assert_eq!(set.len(), 1000);
-
-        let mut map = fx_map();
-        for i in 0..100u32 {
-            map.insert(i, i * 2);
-        }
-        assert_eq!(map.get(&40), Some(&80));
-        assert_eq!(map.len(), 100);
     }
 
     #[test]

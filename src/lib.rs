@@ -11,7 +11,7 @@
 //! workspace crates:
 //!
 //! * [`graph`] (`pce-graph`) — temporal graph substrate, generators, IO.
-//! * [`sched`] (`pce-sched`) — work-stealing thread pool and steal registry.
+//! * [`sched`] (`pce-sched`) — work-stealing thread pool.
 //! * [`core`](mod@core) (`pce-core`) — the enumeration algorithms.
 //! * [`store`] (`pce-store`) — durability: segment log, checkpoints, replay
 //!   recovery for the streaming engines.

@@ -1069,14 +1069,15 @@ fn extended_predicate_sweep_is_byte_identical() {
     );
 }
 
-/// The regression mirror of `fine_johnson`'s multi-worker assertion, at the
-/// streaming level: a batch whose cycles all hang off one hot root must
-/// engage more than one worker under fine granularity — with the steal
-/// activity recorded in the batch's `RunStats`/`WorkMetrics` — where the
-/// coarse driver necessarily pins to a single worker. The fine search splits
-/// only when an idle worker is scheduled in time, so the spread check gets a
-/// few attempts on a multicore and is skipped on one core; the cycle count
-/// and the copy bound hold on every run.
+/// The streaming mirror of the one-shot spread tests (fine Johnson and fine
+/// Read-Tarjan on Figure 4a), which split on the same policy as the fine
+/// delta search: a batch whose cycles all hang off one hot root must engage
+/// more than one worker under fine granularity — with the steal activity
+/// recorded in the batch's `RunStats`/`WorkMetrics` — where the coarse
+/// driver necessarily pins to a single worker. The fine search splits only
+/// when an idle worker is scheduled in time, so the spread check gets a few
+/// attempts on a multicore and is skipped on one core; the cycle count and
+/// the copy bound hold on every run.
 #[test]
 fn single_hot_root_batch_engages_multiple_workers_under_fine() {
     let graph = hub_burst(2, 13);
